@@ -13,10 +13,6 @@ by the :mod:`repro.service` HTTP control plane, the ``repro plan`` /
   whose views are plain data;
 * failures raise :class:`ApiError` with a stable machine code mapped
   to a canonical HTTP status (:data:`ERROR_STATUS`).
-
-The legacy free functions in :mod:`repro.core.planner`
-(``min_budget_for`` and friends) still work but emit
-``DeprecationWarning`` — new code goes through this package.
 """
 
 from repro.api.client import PlanningClient

@@ -20,8 +20,8 @@ exactly one miss (single-flight).
 :func:`fleet_report` and :func:`select_cheapest_fleet` are the
 spec-level entry points for callers that already hold
 :class:`~repro.serving.fleet.FleetSpec` objects (experiments,
-notebooks); they are part of the API surface, unlike the deprecated
-free functions in :mod:`repro.core.planner`.
+notebooks); :mod:`repro.core.planner` holds the private selection
+kernels behind both.
 """
 
 from __future__ import annotations
@@ -416,9 +416,8 @@ def select_cheapest_fleet(
     """Cheapest candidate :class:`~repro.serving.fleet.FleetSpec`
     meeting availability A and p99 L; returns ``(spec, report)``.
 
-    The supported replacement for the deprecated
-    :func:`repro.core.planner.cheapest_fleet` free function.  Raises
-    :class:`ApiError` (``infeasible``) when no candidate qualifies.
+    Raises :class:`ApiError` (``infeasible``) when no candidate
+    qualifies.
     """
     from repro.core.planner import _cheapest_fleet
 

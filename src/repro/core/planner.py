@@ -3,30 +3,32 @@
 The paper answers "what fits inside (T', C')?"; a consumer budgeting a
 project asks the inverse questions:
 
-* :func:`min_budget_for` — the cheapest money that buys a target
-  accuracy within a deadline;
-* :func:`min_deadline_for` — the shortest completion time a budget can
-  buy at a target accuracy;
-* :func:`iso_accuracy_frontier` — the (deadline, budget) trade curve
-  for one accuracy target: every point is a different Pareto-optimal
-  configuration for the same result quality.
+* the cheapest money that buys a target accuracy within a deadline
+  (``_min_budget_for``);
+* the shortest completion time a budget can buy at a target accuracy
+  (``_min_deadline_for``);
+* the (deadline, budget) trade curve for one accuracy target: every
+  point is a different Pareto-optimal configuration for the same
+  result quality (``_iso_accuracy_frontier``).
 
 All three are vectorised selections over one
 :class:`~repro.core.evalspace.EvaluatedSpace`;
 :class:`PlanningSpace` is a thin (space, metric) view whose queries run
 on the space's numpy columns.
 
-:func:`cheapest_fleet` extends the same inverse-query discipline to the
+``_cheapest_fleet`` extends the same inverse-query discipline to the
 *serving* axis: candidate routed fleets
 (:class:`~repro.serving.fleet.FleetSpec`) are evaluated through the
 content-keyed fleet cache and filtered by availability and tail
 latency, exactly the way the batch queries filter the evaluation
 space.
+
+These are the kernels behind :func:`repro.api.plan` and
+:func:`repro.api.select_cheapest_fleet`, the public entry points.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,13 +41,7 @@ from repro.core.pareto import pareto_indices
 from repro.errors import InfeasibleError
 from repro.pruning.schedule import DegreeOfPruning
 
-__all__ = [
-    "PlanningSpace",
-    "cheapest_fleet",
-    "min_budget_for",
-    "min_deadline_for",
-    "iso_accuracy_frontier",
-]
+__all__ = ["PlanningSpace"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,60 +184,3 @@ def _cheapest_fleet(
             f"{constraint}"
         )
     return best
-
-
-# ----------------------------------------------------------------------
-# deprecated free-function shims
-# ----------------------------------------------------------------------
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.core.planner.{name} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def min_budget_for(
-    space: PlanningSpace,
-    target_accuracy: float,
-    deadline_s: float,
-) -> SimulationResult:
-    """Deprecated shim for :func:`repro.api.plan` (``deadline_h`` set).
-
-    Delegates unchanged; new code builds a
-    :class:`repro.api.PlanRequest` instead.
-    """
-    _deprecated("min_budget_for", "repro.api.plan")
-    return _min_budget_for(space, target_accuracy, deadline_s)
-
-
-def min_deadline_for(
-    space: PlanningSpace,
-    target_accuracy: float,
-    budget: float,
-) -> SimulationResult:
-    """Deprecated shim for :func:`repro.api.plan` (``budget`` set)."""
-    _deprecated("min_deadline_for", "repro.api.plan")
-    return _min_deadline_for(space, target_accuracy, budget)
-
-
-def iso_accuracy_frontier(
-    space: PlanningSpace, target_accuracy: float
-) -> list[SimulationResult]:
-    """Deprecated shim for :func:`repro.api.plan` (no constraints)."""
-    _deprecated("iso_accuracy_frontier", "repro.api.plan")
-    return _iso_accuracy_frontier(space, target_accuracy)
-
-
-def cheapest_fleet(
-    candidates: Sequence,
-    workload,
-    *,
-    availability: float = 0.999,
-    p99_s: float | None = None,
-):
-    """Deprecated shim for :func:`repro.api.select_cheapest_fleet`."""
-    _deprecated("cheapest_fleet", "repro.api.select_cheapest_fleet")
-    return _cheapest_fleet(
-        candidates, workload, availability=availability, p99_s=p99_s
-    )

@@ -41,12 +41,3 @@ __all__ = [
     "run_experiments",
 ]
 
-
-def __getattr__(name: str):
-    if name == "ExperimentOutput":  # deprecated alias; warns in runner
-        from repro.experiments import runner
-
-        return runner.ExperimentOutput
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -6,19 +6,12 @@ artefact id — each carries ``artefact``/``title``/``text`` (the old
 ``ExperimentOutput`` shape) plus structured ``data``, status, timing
 and a per-artefact trace.  The heavy lifting lives in
 :mod:`repro.experiments.engine`; this module keeps the historical entry
-point and the deprecation shims for the pre-engine API:
-
-* ``EXPERIMENTS`` — the old ``{id: (title, renderer)}`` dict, rebuilt
-  on access from the engine registry (emits ``DeprecationWarning``);
-* ``ExperimentOutput`` — alias of ``ExperimentResult`` (emits
-  ``DeprecationWarning``).
+point.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from collections.abc import Callable
 
 from repro.experiments.engine import (
     DEFAULT_CACHE_DIR,
@@ -65,39 +58,6 @@ def run_all(
         manifest_path=manifest_path,
     )
     return list(run.results)
-
-
-def _legacy_renderer(experiment: Experiment) -> Callable[[], str]:
-    def renderer() -> str:
-        return experiment.render_text()
-
-    return renderer
-
-
-def __getattr__(name: str):
-    if name == "EXPERIMENTS":
-        warnings.warn(
-            "repro.experiments.runner.EXPERIMENTS is deprecated; use "
-            "repro.experiments.engine.REGISTRY (Experiment objects) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            artefact: (e.title, _legacy_renderer(e))
-            for artefact, e in REGISTRY.items()
-        }
-    if name == "ExperimentOutput":
-        warnings.warn(
-            "ExperimentOutput is deprecated; use "
-            "repro.experiments.engine.ExperimentResult instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ExperimentResult
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -15,13 +15,17 @@ of the cost-accuracy axes.
 * :mod:`repro.serving.events`   — the event queue;
 * :mod:`repro.serving.arrivals` — Poisson / uniform / bursty arrivals;
 * :mod:`repro.serving.batcher`  — batch-forming policy;
-* :mod:`repro.serving.simulator`— the event loop + report;
+* :mod:`repro.serving.simulator`— the simulator + report, run on
+  the batch-granularity :mod:`repro.serving.columnar` engine;
 * :mod:`repro.serving.autoscaler` — the elastic fleet;
 * :mod:`repro.serving.router`   — fleet-scale routing + admission
   control over N heterogeneous replicas (see docs/serving.md);
 * :mod:`repro.serving.fleet`    — declarative ``FleetSpec`` with the
   content-keyed evaluation cache behind the fleet planner query;
-* :mod:`repro.serving.metrics`  — post-hoc views incl. availability.
+* :mod:`repro.serving.metrics`  — post-hoc views incl. availability;
+* :mod:`repro.serving.reference` — the per-event serving and routing
+  loops the columnar engines replay bit for bit (the test oracle; not
+  exported here).
 """
 
 from repro.cloud.faults import FaultPlan, Preemption, Slowdown

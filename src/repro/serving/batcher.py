@@ -9,7 +9,8 @@ or the oldest has waited ``max_wait_s``.
 Two queue implementations share that policy:
 
 * :class:`PendingQueue` — the original deque of ``(id, arrival)``
-  tuples, one push/pop per request.  The per-event engine uses it.
+  tuples, one push/pop per request.  The per-event reference
+  loop (:mod:`repro.serving.reference`) and the autoscaler use it.
 * :class:`ColumnQueue` — the columnar engine's view: batch formation is
   *array segmentation*.  Request ids are implicit (the index into the
   arrival column), the queued originals are a contiguous ``[head, end)``

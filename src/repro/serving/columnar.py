@@ -1,6 +1,7 @@
 """Columnar serving engine: the event loop at batch granularity.
 
-The per-event engine (:meth:`ServingSimulator._run`) costs O(requests)
+The per-event loop (:func:`repro.serving.reference.serve`, the
+executable specification this module replays) costs O(requests)
 Python iterations — one heap push/pop plus one dispatch pass per
 arrival — which caps bench scenarios at ~10⁴ requests.  This engine
 replays the *identical* simulation in O(batches + structural events):
@@ -97,7 +98,8 @@ def _batch_tables(workers):
 
 
 def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
-    """Run one serving simulation columnar; bit-identical to ``_run``.
+    """Run one serving simulation columnar; bit-identical to
+    :func:`repro.serving.reference.serve`.
 
     ``sim`` is the :class:`~repro.serving.simulator.ServingSimulator`
     (the engine reads its worker pool, policy and billing inputs);

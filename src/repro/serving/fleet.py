@@ -18,8 +18,8 @@ a fleet it has already measured:
   ``fleet.cache_misses`` counters, 32-entry LRU-by-insertion like the
   evaluation-space cache).
 
-The planner query itself lives in
-:func:`repro.core.planner.cheapest_fleet`.
+The planner query itself is
+:func:`repro.api.select_cheapest_fleet`.
 """
 
 from __future__ import annotations
@@ -177,7 +177,6 @@ class FleetSpec:
     replicas: tuple[ReplicaSpec, ...]
     routing: str = "round-robin"
     admission: AdmissionPolicy | None = None
-    engine: str = "columnar"
 
     def router(self) -> FleetRouter:
         """Build the imperative router this spec describes."""
@@ -187,7 +186,6 @@ class FleetSpec:
             self.replicas,
             routing=self.routing,
             admission=self.admission,
-            engine=self.engine,
         )
 
     @property
@@ -202,12 +200,7 @@ class FleetSpec:
         )
 
     def cache_key(self) -> tuple:
-        """Content key: equal fleets share one evaluation process-wide.
-
-        ``engine`` is deliberately absent — both engines produce
-        byte-identical reports (tested), so a fleet evaluated under
-        one must hit the cache entry written under the other.
-        """
+        """Content key: equal fleets share one evaluation process-wide."""
         return (
             self.time_model.fingerprint(),
             self.accuracy_model.fingerprint(),

@@ -208,207 +208,30 @@ class AdmissionPolicy:
 # ----------------------------------------------------------------------
 # routing policies
 # ----------------------------------------------------------------------
-class _RoutingState:
-    """Mutable per-run view the policies share.
+#: routing policy names (the ``repro serve --fleet --routing`` choices);
+#: the columnar decision pass in :meth:`FleetRouter.route` implements
+#: each, replaying :mod:`repro.serving.reference` bit for bit.
+ROUTING_POLICIES: tuple[str, ...] = (
+    "round-robin",
+    "jsq",
+    "weighted",
+    "tiered",
+    "adaptive",
+)
 
-    ``backlog`` is a fluid model of each replica's queue: it decays at
-    the replica's modelled saturated throughput between arrivals and
-    grows by one per assignment.  Deterministic by construction — no
-    co-simulation with the replica event loops is needed.
+
+def _total_backlog(backlog: Sequence[float]) -> float:
+    """Fleet-wide fluid queue estimate (what depth limits compare).
+
+    One fixed-order, left-to-right ``+=`` sum, so the decision pass and
+    the reference loop round it identically: ``sum()`` switched to
+    compensated summation in Python 3.12 and ``np.sum`` regroups from
+    eight elements on.
     """
-
-    def __init__(self, capacities: Sequence[float]) -> None:
-        self.capacity = np.asarray(capacities, dtype=float)
-        self.backlog = np.zeros(len(capacities))
-        self._last_t = 0.0
-
-    def advance(self, now: float) -> None:
-        """Drain every backlog to ``now`` at the replica's capacity."""
-        dt = now - self._last_t
-        if dt > 0:
-            self.backlog = np.maximum(
-                0.0, self.backlog - dt * self.capacity
-            )
-            self._last_t = now
-
-    def assign(self, replica: int) -> None:
-        """Record one request routed to ``replica``."""
-        self.backlog[replica] += 1.0
-
-    @property
-    def total_backlog(self) -> float:
-        """Fleet-wide fluid queue estimate (for depth shedding)."""
-        return float(self.backlog.sum())
-
-
-class _RoundRobin:
-    """Cycle replicas in declaration order."""
-
-    def __init__(self, router: "FleetRouter") -> None:
-        self._n = len(router.replicas)
-        self._next = 0
-
-    def select(
-        self,
-        now: float,
-        floor: float,
-        deadline: float,
-        state: _RoutingState,
-    ) -> int:
-        """Pick the next replica in the cycle (floor/deadline ignored)."""
-        pick = self._next
-        self._next = (self._next + 1) % self._n
-        return pick
-
-
-class _JoinShortestQueue:
-    """Route to the replica with the smallest fluid backlog."""
-
-    def __init__(self, router: "FleetRouter") -> None:
-        pass
-
-    def select(
-        self,
-        now: float,
-        floor: float,
-        deadline: float,
-        state: _RoutingState,
-    ) -> int:
-        """Pick the least-loaded replica (ties go to the lowest index)."""
-        return int(np.argmin(state.backlog))
-
-
-class _WeightedThroughput:
-    """Smooth weighted round-robin over modelled throughput.
-
-    The classic smooth-WRR scheme: each replica accumulates its weight
-    every arrival, the largest accumulator wins and pays back the total
-    weight.  With weights (3, 1) the sequence is A A B A — spread out,
-    not bursty, and fully deterministic.
-    """
-
-    def __init__(self, router: "FleetRouter") -> None:
-        self._weights = np.array(
-            [
-                r.weight if r.weight is not None else c
-                for r, c in zip(router.replicas, router.capacities)
-            ],
-            dtype=float,
-        )
-        if not np.all(self._weights > 0):
-            raise ConfigurationError(
-                "weighted routing needs positive capacities/weights"
-            )
-        self._current = np.zeros(len(self._weights))
-
-    def select(
-        self,
-        now: float,
-        floor: float,
-        deadline: float,
-        state: _RoutingState,
-    ) -> int:
-        """Pick by smooth weighted round-robin (floor/deadline ignored)."""
-        self._current += self._weights
-        pick = int(np.argmax(self._current))
-        self._current[pick] -= self._weights.sum()
-        return pick
-
-
-class _AccuracyTiered:
-    """Cheapest replica whose accuracy clears the request's floor.
-
-    ``floor`` is a Top-5 accuracy requirement in percent.  Among the
-    replicas that clear it, the lowest hourly rate wins; rate ties are
-    broken by the smaller fluid backlog, then declaration order.  When
-    *no* replica clears the floor the request degrades gracefully to
-    the most accurate replica instead of being rejected.
-    """
-
-    def __init__(self, router: "FleetRouter") -> None:
-        self._top5 = np.array(
-            [a.top5 for a in router.accuracies], dtype=float
-        )
-        self._rates = np.array(router.rates_per_hour, dtype=float)
-        self._best = int(np.argmax(self._top5))
-
-    def select(
-        self,
-        now: float,
-        floor: float,
-        deadline: float,
-        state: _RoutingState,
-    ) -> int:
-        """Pick the cheapest floor-clearing replica (see class doc)."""
-        eligible = np.flatnonzero(self._top5 >= floor - 1e-9)
-        if eligible.size == 0:
-            return self._best
-        rates = self._rates[eligible]
-        cheapest = eligible[np.flatnonzero(rates == rates.min())]
-        if cheapest.size == 1:
-            return int(cheapest[0])
-        return int(cheapest[np.argmin(state.backlog[cheapest])])
-
-
-class _Adaptive:
-    """Per-request accuracy tier from deadline, floor, and backlog.
-
-    Deadline-aware tiered routing with a degradation ladder: among the
-    replicas that clear the request's accuracy floor *and* whose fluid
-    estimated wait (``backlog / capacity``) fits its deadline, the
-    lowest hourly rate wins — rate ties go to the smaller backlog,
-    then declaration order, exactly like ``tiered``.  When no replica
-    satisfies both, the request degrades gracefully instead of piling
-    onto a saturated tier: first to the most accurate replica that
-    still makes the deadline (a lower-accuracy answer in time beats an
-    accurate one too late), and when even that fails, to the replica
-    with the smallest estimated wait.
-    """
-
-    def __init__(self, router: "FleetRouter") -> None:
-        self._top5 = np.array(
-            [a.top5 for a in router.accuracies], dtype=float
-        )
-        self._rates = np.array(router.rates_per_hour, dtype=float)
-        self._capacity = np.asarray(router.capacities, dtype=float)
-
-    def select(
-        self,
-        now: float,
-        floor: float,
-        deadline: float,
-        state: _RoutingState,
-    ) -> int:
-        """Cheapest floor-clearing replica whose estimated wait meets
-        the deadline; degrade to the most accurate timely replica,
-        then to the smallest estimated wait (see class doc)."""
-        backlog = state.backlog
-        wait = backlog / self._capacity
-        timely = wait <= deadline
-        eligible = np.flatnonzero(
-            timely & (self._top5 >= floor - 1e-9)
-        )
-        if eligible.size == 0:
-            makes_it = np.flatnonzero(timely)
-            if makes_it.size:
-                return int(makes_it[np.argmax(self._top5[makes_it])])
-            return int(np.argmin(wait))
-        rates = self._rates[eligible]
-        cheapest = eligible[np.flatnonzero(rates == rates.min())]
-        if cheapest.size == 1:
-            return int(cheapest[0])
-        return int(cheapest[np.argmin(backlog[cheapest])])
-
-
-#: routing policy name -> implementation (the ``repro serve --fleet
-#: --routing`` choices).
-ROUTING_POLICIES: dict[str, type] = {
-    "round-robin": _RoundRobin,
-    "jsq": _JoinShortestQueue,
-    "weighted": _WeightedThroughput,
-    "tiered": _AccuracyTiered,
-    "adaptive": _Adaptive,
-}
+    total = 0.0
+    for b in backlog:
+        total += b
+    return total
 
 
 def fluid_backlog_trajectory(
@@ -432,11 +255,11 @@ def fluid_backlog_trajectory(
     ``b_i = max(0, max_j<=i (s_j - A_{j-1})) + A_i - s_i``
 
     which vectorizes as one ``np.maximum.accumulate``.  The regrouped
-    arithmetic is *not* guaranteed bit-identical to stepping
-    :class:`_RoutingState` (terms associate differently); agreement is
-    to float tolerance, which is why the router's decision pass never
-    uses it — it exists for post-hoc analysis and plots over the
-    assignment the decision pass produced.
+    arithmetic is *not* guaranteed bit-identical to stepping the
+    fluid state of :mod:`repro.serving.reference` (terms associate
+    differently); agreement is to float tolerance, which is why the
+    router's decision pass never uses it — it exists for post-hoc
+    analysis and plots over the assignment the decision pass produced.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -816,12 +639,6 @@ class FleetRouter:
         One of :data:`ROUTING_POLICIES`.
     admission:
         Optional :class:`AdmissionPolicy`; ``None`` admits everything.
-    engine:
-        ``"columnar"`` (default) routes with the vectorized decision
-        pass and serves static replicas through the columnar simulator
-        engine; ``"event"`` keeps the per-arrival reference loop and
-        the per-event simulator.  Both produce byte-identical reports;
-        the knob exists for differential testing.
     """
 
     def __init__(
@@ -831,7 +648,6 @@ class FleetRouter:
         replicas: Sequence[ReplicaSpec],
         routing: str = "round-robin",
         admission: AdmissionPolicy | None = None,
-        engine: str = "columnar",
     ) -> None:
         replicas = tuple(replicas)
         if not replicas:
@@ -848,11 +664,6 @@ class FleetRouter:
                 f"unknown routing policy {routing!r}; "
                 f"available: {sorted(ROUTING_POLICIES)}"
             )
-        if engine not in ("columnar", "event"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; "
-                "available: ['columnar', 'event']"
-            )
         if time_model.name != accuracy_model.name:
             raise ConfigurationError("time/accuracy model mismatch")
         self.time_model = time_model
@@ -860,7 +671,6 @@ class FleetRouter:
         self.replicas = replicas
         self.routing = routing
         self.admission = admission
-        self.engine = engine
         self.capacities = tuple(
             self._capacity(r) for r in replicas
         )
@@ -873,6 +683,23 @@ class FleetRouter:
             else r.configuration.total_price_per_hour
             for r in replicas
         )
+        # the per-replica columns the decision pass reads
+        self._top5 = np.array(
+            [a.top5 for a in self.accuracies], dtype=float
+        )
+        self._rates = np.array(self.rates_per_hour, dtype=float)
+        self._best = int(np.argmax(self._top5))
+        self._weights = np.array(
+            [
+                r.weight if r.weight is not None else c
+                for r, c in zip(replicas, self.capacities)
+            ],
+            dtype=float,
+        )
+        if routing == "weighted" and not np.all(self._weights > 0):
+            raise ConfigurationError(
+                "weighted routing needs positive capacities/weights"
+            )
 
     # ------------------------------------------------------------------
     def _capacity(self, replica: ReplicaSpec) -> float:
@@ -916,8 +743,8 @@ class FleetRouter:
         ``adaptive``).  ``None`` means no requirement (floor 0, or an
         infinite deadline).
 
-        The columnar engine (the default) makes bit-identical decisions
-        to the per-arrival reference loop — tested property-style in
+        The decision pass is bit-identical to the per-arrival loop in
+        :mod:`repro.serving.reference` — tested property-style in
         ``tests/test_columnar.py`` — while touching each replica's
         fluid backlog only where a decision actually reads it.
         """
@@ -942,68 +769,7 @@ class FleetRouter:
                 raise ConfigurationError(
                     "deadlines must align with arrivals"
                 )
-        if self.engine == "event":
-            return self._route_reference(arrivals, floors, deadlines)
         return self._route_columnar(arrivals, floors, deadlines)
-
-    def _route_reference(
-        self,
-        arrivals: np.ndarray,
-        floors: np.ndarray,
-        deadlines: np.ndarray,
-    ) -> np.ndarray:
-        """The per-arrival decision loop the columnar pass replays.
-
-        One :meth:`_RoutingState.advance`/``select``/``assign`` cycle
-        per arrival — the executable specification the equivalence
-        tests compare against.  Inputs are pre-validated by
-        :meth:`route`.  Past the admission policy's ``degrade_limit``
-        the request's floor is waived (passed to the policy as 0), the
-        graceful-degradation rung before ``queue_limit`` shedding.
-        """
-        policy = ROUTING_POLICIES[self.routing](self)
-        state = _RoutingState(self.capacities)
-        admission = self.admission
-        tokens = float(admission.burst) if admission else 0.0
-        last_refill = 0.0
-        assignment = np.empty(arrivals.size, dtype=np.int64)
-        for i, (t, floor, deadline) in enumerate(
-            zip(arrivals, floors, deadlines)
-        ):
-            state.advance(t)
-            degrade = False
-            if admission is not None:
-                if admission.rate_per_s is not None:
-                    tokens = min(
-                        float(admission.burst),
-                        tokens
-                        + (t - last_refill) * admission.rate_per_s,
-                    )
-                    last_refill = t
-                shed = (
-                    admission.queue_limit is not None
-                    and state.total_backlog >= admission.queue_limit
-                ) or (
-                    admission.rate_per_s is not None and tokens < 1.0
-                )
-                if shed:
-                    assignment[i] = -1
-                    continue
-                if admission.rate_per_s is not None:
-                    tokens -= 1.0
-                degrade = (
-                    admission.degrade_limit is not None
-                    and state.total_backlog >= admission.degrade_limit
-                )
-            pick = policy.select(
-                float(t),
-                0.0 if degrade else float(floor),
-                float(deadline),
-                state,
-            )
-            state.assign(pick)
-            assignment[i] = pick
-        return assignment
 
     def _route_columnar(
         self,
@@ -1011,14 +777,15 @@ class FleetRouter:
         floors: np.ndarray,
         deadlines: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized decision pass, bit-identical to the reference.
+        """Vectorized decision pass, bit-identical to the reference
+        :func:`repro.serving.reference.route`.
 
         Strategy: hoist everything that does not depend on the fluid
         backlog out of the per-arrival loop.
 
         * ``tiered`` floors repeat heavily, so the eligible/cheapest
           candidate set is computed once per *distinct* floor with the
-          reference's own numpy expressions, then looked up by code.
+          reference policy's numpy expressions, then looked up by code.
         * When no decision reads the backlog (round-robin, weighted,
           or tiered whose candidate sets are all singletons) and depth
           shedding is off, assignments are pure numpy — the token
@@ -1030,13 +797,9 @@ class FleetRouter:
           ``max(0, b - dt*c)`` / first-min scans replicate the
           reference's ``np.maximum``/``np.argmin`` exactly (same IEEE
           ops, first-extremum ties), and ``backlog / capacity`` is the
-          same IEEE division either way.
-
-        The one regrouping hazard is ``total_backlog``: numpy's
-        ``.sum()`` switches to unrolled accumulation at 8 elements, so
-        depth shedding *or* degradation thresholds on fleets of >= 8
-        replicas fall back to the reference loop rather than risk a
-        differently-rounded sum.
+          same IEEE division either way.  Depth limits compare one
+          :func:`_total_backlog` per arrival, the same fixed-order sum
+          the reference computes.
         """
         n = arrivals.size
         n_replicas = len(self.replicas)
@@ -1052,22 +815,17 @@ class FleetRouter:
         depth_read = (
             queue_limit is not None or degrade_limit is not None
         )
-        if depth_read and n_replicas >= 8:
-            return self._route_reference(arrivals, floors, deadlines)
 
         # --- per-distinct-floor candidate tables (tiered only) -------
         codes = cand_sets = zero_cands = None
         if routing == "tiered":
-            tiers = _AccuracyTiered(self)
 
             def _tier_cands(floor: float) -> tuple[int, ...]:
-                # the reference policy's own numpy expressions
-                eligible = np.flatnonzero(
-                    tiers._top5 >= floor - 1e-9
-                )
+                # the reference policy's numpy expressions
+                eligible = np.flatnonzero(self._top5 >= floor - 1e-9)
                 if eligible.size == 0:
-                    return (tiers._best,)
-                rates = tiers._rates[eligible]
+                    return (self._best,)
+                rates = self._rates[eligible]
                 cheapest = eligible[
                     np.flatnonzero(rates == rates.min())
                 ]
@@ -1078,12 +836,6 @@ class FleetRouter:
             if degrade_limit is not None:
                 # degraded requests route with their floor waived
                 zero_cands = _tier_cands(0.0)
-        elif routing == "weighted":
-            # construct for its validation (positive weights) even on
-            # the scalar path below, which re-reads the arrays
-            wrr = _WeightedThroughput(self)
-        elif routing == "adaptive":
-            adapt = _Adaptive(self)
 
         # which replicas can a decision actually read?
         if depth_read or routing in ("jsq", "adaptive"):
@@ -1137,14 +889,14 @@ class FleetRouter:
         if routing == "round-robin":
             next_rr = 0
         elif routing == "weighted":
-            weights = [float(w) for w in wrr._weights]
+            weights = self._weights.tolist()
             current = [0.0] * n_replicas
-            wsum = float(wrr._weights.sum())
+            wsum = float(self._weights.sum())
         elif routing == "tiered":
             code_list = codes.tolist()
         elif routing == "adaptive":
-            top5 = [float(v) for v in adapt._top5]
-            rates_ph = [float(v) for v in adapt._rates]
+            top5 = self._top5.tolist()
+            rates_ph = self._rates.tolist()
             floor_list = floors.tolist()
             deadline_list = deadlines.tolist()
         for i in range(n):
@@ -1163,17 +915,17 @@ class FleetRouter:
                     if tokens > burst:
                         tokens = burst
                     last_refill = t
-                if (
-                    queue_limit is not None
-                    and sum(backlog) >= queue_limit
-                ) or (rate_on and tokens < 1.0):
+                if depth_read:
+                    total = _total_backlog(backlog)
+                if (queue_limit is not None and total >= queue_limit) or (
+                    rate_on and tokens < 1.0
+                ):
                     picks.append(-1)
                     continue
                 if rate_on:
                     tokens -= 1.0
                 degrade = (
-                    degrade_limit is not None
-                    and sum(backlog) >= degrade_limit
+                    degrade_limit is not None and total >= degrade_limit
                 )
             if routing == "round-robin":
                 pick = next_rr
@@ -1353,12 +1105,9 @@ class FleetRouter:
         if floors is None:
             met = admitted
         else:
-            top5 = np.array(
-                [pair.top5 for pair in self.accuracies], dtype=float
-            )
             met = admitted.copy()
             met[admitted] = (
-                top5[assignment[admitted]]
+                self._top5[assignment[admitted]]
                 >= np.asarray(floors, dtype=float)[admitted] - 1e-9
             )
         reports: list[object | None] = []
@@ -1391,15 +1140,14 @@ class FleetRouter:
             default=float(arrivals[-1]) if arrivals.size else 0.0,
         )
         outcomes = []
-        for replica, assigned, at_floor, report in zip(
-            self.replicas, assigned_counts, at_floor_counts, reports
+        for replica, rate, assigned, at_floor, report in zip(
+            self.replicas,
+            self.rates_per_hour,
+            assigned_counts,
+            at_floor_counts,
+            reports,
         ):
             if report is None:
-                rate = (
-                    replica.hourly_rate
-                    if replica.hourly_rate is not None
-                    else replica.configuration.total_price_per_hour
-                )
                 cost = hourly_rate_cost(rate, duration)
             else:
                 cost = report.cost
@@ -1442,7 +1190,6 @@ class FleetRouter:
                 replica.spec,
                 replica.policy,
                 hourly_rate=replica.hourly_rate,
-                engine=self.engine,
             )
         return simulator.run(sub, replica.faults, telemetry=bundle)
 

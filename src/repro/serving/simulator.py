@@ -1,4 +1,4 @@
-"""The serving event loop and its report.
+"""The serving simulator and its report.
 
 Each GPU of each instance in the configuration is one worker; service
 time for a batch of ``b`` requests comes from the calibrated batching
@@ -24,14 +24,13 @@ import numpy as np
 from repro.calibration.accuracy_model import AccuracyModel, AccuracyPair
 from repro.cloud.configuration import ResourceConfiguration
 from repro.cloud.faults import FaultPlan
-from repro.cloud.pricing import hourly_rate_cost
 from repro.errors import ConfigurationError
 from repro.obs import get_metrics, get_tracer
 from repro.perf.batching import BatchingModel
 from repro.perf.latency import CalibratedTimeModel
 from repro.pruning.base import PruneSpec
-from repro.serving.batcher import BatchPolicy, PendingQueue
-from repro.serving.events import EventQueue
+from repro.serving.batcher import BatchPolicy
+from repro.serving.columnar import columnar_run
 
 __all__ = ["ServingSimulator", "ServingReport"]
 
@@ -154,12 +153,11 @@ class ServingSimulator:
         Override for the fleet's hourly price (e.g. a spot rate from
         :func:`repro.cloud.pricing.spot_rate`); ``None`` bills the
         configuration's on-demand total.
-    engine:
-        ``"columnar"`` (default) runs the vectorised batch-granularity
-        engine in :mod:`repro.serving.columnar`; ``"event"`` runs the
-        original per-event loop.  The two are bit-identical (pinned by
-        ``tests/test_columnar.py``); the per-event loop remains
-        available for one release as the differential oracle.
+
+    Runs execute on the batch-granularity engine in
+    :mod:`repro.serving.columnar`, a bit-for-bit replay of the
+    per-event loop in :mod:`repro.serving.reference` (pinned by
+    ``tests/test_columnar.py``).
     """
 
     def __init__(
@@ -170,18 +168,11 @@ class ServingSimulator:
         spec: PruneSpec,
         policy: BatchPolicy,
         hourly_rate: float | None = None,
-        engine: str = "columnar",
     ) -> None:
         if time_model.name != accuracy_model.name:
             raise ConfigurationError("time/accuracy model mismatch")
         if hourly_rate is not None and hourly_rate < 0:
             raise ConfigurationError("hourly rate must be non-negative")
-        if engine not in ("columnar", "event"):
-            raise ConfigurationError(
-                f"unknown serving engine {engine!r}; "
-                "expected 'columnar' or 'event'"
-            )
-        self.engine = engine
         self.time_model = time_model
         self.accuracy_model = accuracy_model
         self.configuration = configuration
@@ -226,21 +217,15 @@ class ServingSimulator:
         if np.any(np.diff(arrivals) < 0):
             raise ConfigurationError("arrivals must be sorted")
         if arrivals[0] < 0:
-            # the per-event engine rejects this at Event construction;
-            # the columnar engine never builds arrival Events, so both
-            # engines validate up front with the same error
+            # the same error the per-event reference raises when it
+            # builds the first arrival Event
             raise ValueError("event time must be non-negative")
         with get_tracer().span(
             "serving.run",
             workers=len(self._workers),
             requests=int(arrivals.size),
         ) as span:
-            if self.engine == "columnar":
-                from repro.serving.columnar import columnar_run
-
-                report = columnar_run(self, arrivals, plan, telemetry)
-            else:
-                report = self._run(arrivals, plan, telemetry)
+            report = columnar_run(self, arrivals, plan, telemetry)
         metrics = get_metrics()
         metrics.counter("serving.runs").inc()
         metrics.counter("serving.requests").inc(report.requests)
@@ -255,167 +240,3 @@ class ServingSimulator:
             span.tags["batches"] = int(report.batch_sizes.size)
             span.tags["dropped"] = report.dropped
         return report
-
-    def _run(
-        self, arrivals: np.ndarray, plan: FaultPlan, telemetry=None
-    ) -> ServingReport:
-
-        events = EventQueue()
-        events.extend_sorted(arrivals, "arrival")
-        for preemption in plan.preemptions:
-            events.push(preemption.at_s, "preempt", preemption)
-
-        pool = len(self._workers)
-        pending = PendingQueue()
-        free_workers = list(range(pool))
-        latencies = np.full(arrivals.size, np.nan)
-        status = np.zeros(arrivals.size, dtype=np.uint8)
-        retry_count = np.zeros(arrivals.size, dtype=np.int64)
-        batch_sizes: list[int] = []
-        busy_s = 0.0
-        timer_at: float | None = None
-        now = 0.0
-        down: set[int] = set()
-        # incarnation counter per worker: a "done" event carrying a
-        # stale epoch belongs to a batch cancelled by preemption
-        epoch = [0] * pool
-        inflight: dict[int, tuple[list, float]] = {}
-        retries_total = 0
-        preempted_total = 0
-
-        def purge(now: float) -> None:
-            """Drop queued requests past the plan's timeout (the queue
-            is arrival-sorted, so expired entries sit at the head)."""
-            if plan.timeout_s is None:
-                return
-            while (
-                pending
-                and now - pending.oldest_arrival()
-                > plan.timeout_s + 1e-9
-            ):
-                request_id, _ = pending.take(1)[0]
-                status[request_id] = _DROPPED
-                if telemetry is not None:
-                    telemetry.record_dropped(now)
-
-        def requeue(batch: list, now: float) -> None:
-            nonlocal retries_total
-            for request_id, arrival_s in batch:
-                retry_count[request_id] += 1
-                if retry_count[request_id] > plan.retry_budget:
-                    status[request_id] = _DROPPED
-                    if telemetry is not None:
-                        telemetry.record_dropped(now)
-                else:
-                    retries_total += 1
-                    pending.requeue(request_id, arrival_s)
-
-        def dispatch(now: float) -> None:
-            nonlocal busy_s, timer_at
-            purge(now)
-            while free_workers and pending.should_dispatch(
-                now, self.policy
-            ):
-                worker_id = free_workers.pop()
-                batching, cap = self._workers[worker_id]
-                batch = pending.take(cap)
-                service = batching.batch_time(
-                    len(batch)
-                ) * plan.slowdown_factor(worker_id, now)
-                busy_s += service
-                batch_sizes.append(len(batch))
-                if telemetry is not None:
-                    telemetry.record_batch(
-                        now, len(batch), cap, len(pending)
-                    )
-                inflight[worker_id] = (batch, now + service)
-                events.push(
-                    now + service,
-                    "done",
-                    (worker_id, batch, epoch[worker_id]),
-                )
-            if pending and free_workers:
-                # waiting on max_wait: arm a timer for the oldest request
-                due = pending.oldest_arrival() + self.policy.max_wait_s
-                if timer_at is None or due < timer_at:
-                    timer_at = due
-                    events.push(max(due, now), "timer", None)
-
-        events_dispatched = 0
-        while events:
-            event = events.pop()
-            events_dispatched += 1
-            now = event.time
-            if event.kind == "arrival":
-                pending.push(event.payload, now)
-            elif event.kind == "done":
-                worker_id, batch, batch_epoch = event.payload
-                if batch_epoch != epoch[worker_id]:
-                    continue  # batch was cancelled by a preemption
-                inflight.pop(worker_id, None)
-                free_workers.append(worker_id)
-                for request_id, arrival_s in batch:
-                    latencies[request_id] = now - arrival_s
-                    status[request_id] = _SERVED
-                    if telemetry is not None:
-                        telemetry.record_served(now, now - arrival_s)
-            elif event.kind == "timer":
-                timer_at = None
-            elif event.kind == "preempt":
-                preemption = event.payload
-                worker_id = preemption.target % pool
-                if worker_id in down:
-                    continue  # already out; nothing more to take
-                preempted_total += 1
-                down.add(worker_id)
-                epoch[worker_id] += 1
-                if worker_id in free_workers:
-                    free_workers.remove(worker_id)
-                if worker_id in inflight:
-                    batch, done_at = inflight.pop(worker_id)
-                    busy_s -= done_at - now  # the cancelled tail never ran
-                    requeue(batch, now)
-                if preemption.recover_after_s is not None:
-                    events.push(
-                        now + preemption.recover_after_s,
-                        "recover",
-                        worker_id,
-                    )
-            elif event.kind == "recover":
-                worker_id = event.payload
-                if worker_id in down:
-                    down.remove(worker_id)
-                    free_workers.append(worker_id)
-            dispatch(now)
-
-        get_metrics().counter("serving.events").inc(events_dispatched)
-
-        # requests still queued when the event horizon ends had no
-        # surviving capacity (or timed out unseen): they are dropped
-        while pending:
-            request_id, _ = pending.take(1)[0]
-            status[request_id] = _DROPPED
-            if telemetry is not None:
-                telemetry.record_dropped(now)
-
-        duration = now  # last event time
-        served_mask = status == _SERVED
-        rate = (
-            self.hourly_rate
-            if self.hourly_rate is not None
-            else self.configuration.total_price_per_hour
-        )
-        cost = hourly_rate_cost(rate, duration)
-        return ServingReport(
-            requests=arrivals.size,
-            duration_s=duration,
-            latencies_s=latencies[served_mask],
-            batch_sizes=np.asarray(batch_sizes),
-            busy_s=busy_s,
-            worker_count=pool,
-            cost=cost,
-            accuracy=self.accuracy_model.accuracy(self.spec),
-            retries=retries_total,
-            dropped=int((status == _DROPPED).sum()),
-            preempted=preempted_total,
-        )

@@ -3,16 +3,13 @@
 Covers the v1 contract: request validation with stable error codes,
 lossless ``to_dict``/``from_dict`` round-trips, byte-identical parity
 between ``PlanResponse.render()`` and the historical ``repro plan``
-CLI output, the deprecation shims, and the source-tree grep gate that
-keeps internal callers off the deprecated free functions.
+CLI output, and the agreement of the plan query kinds.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -411,62 +408,28 @@ class TestGoodputAccuracyFrontier:
         assert only[0][0] is small
 
 
-class TestDeprecatedShims:
-    def test_planner_free_functions_warn_and_delegate(self):
-        from repro.core.planner import (
-            iso_accuracy_frontier,
-            min_budget_for,
-            min_deadline_for,
-        )
-
-        space = api.planning_space(PlanRequest(target=78.0, **SMALL))
-        with pytest.warns(DeprecationWarning, match="repro.api.plan"):
-            budget = min_budget_for(space, 78.0, 24 * 3600.0)
-        with pytest.warns(DeprecationWarning):
-            deadline = min_deadline_for(space, 78.0, budget.cost)
-        with pytest.warns(DeprecationWarning):
-            front = iso_accuracy_frontier(space, 78.0)
+class TestPlanQueries:
+    def test_inverse_queries_agree(self):
+        """The three plan kinds are consistent views of one space: the
+        fastest plan within the cheapest in-deadline plan's cost is no
+        slower and no dearer than it."""
+        budget = api.plan(
+            PlanRequest(target=78.0, deadline_h=24.0, **SMALL)
+        ).best
+        deadline = api.plan(
+            PlanRequest(target=78.0, budget=budget.cost, **SMALL)
+        ).best
+        front = api.plan(PlanRequest(target=78.0, **SMALL)).points
         assert deadline.cost <= budget.cost
-        assert budget in front or front
+        assert deadline.time_s <= budget.time_s
+        assert front
+
+
+class TestDeprecatedShims:
+    """The planner's deprecated free functions are gone; the API path
+    stays free of deprecation warnings."""
 
     def test_api_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             api.plan(PlanRequest(target=78.0, deadline_h=24.0, **SMALL))
-
-
-class TestGrepGate:
-    """No non-shim src module imports the deprecated free functions.
-
-    Mirrors the CI gate so the contract is enforced locally too;
-    ``repro.core.planner`` itself (definitions + shims) is the only
-    file allowed to name them.
-    """
-
-    PATTERNS = [
-        re.compile(
-            r"from repro\.core\.planner import [^\n]*"
-            r"\b(min_budget_for|min_deadline_for"
-            r"|iso_accuracy_frontier|cheapest_fleet)\b"
-        ),
-        re.compile(
-            r"\b(min_budget_for|min_deadline_for"
-            r"|iso_accuracy_frontier|cheapest_fleet)\("
-        ),
-    ]
-    ALLOWED = {"src/repro/core/planner.py"}
-
-    def test_src_tree_is_clean(self):
-        root = Path(__file__).resolve().parent.parent
-        bad = []
-        for path in sorted((root / "src").rglob("*.py")):
-            relative = path.relative_to(root).as_posix()
-            if relative in self.ALLOWED:
-                continue
-            for i, line in enumerate(path.read_text().splitlines(), 1):
-                if any(p.search(line) for p in self.PATTERNS):
-                    bad.append(f"{relative}:{i}: {line.strip()}")
-        assert not bad, (
-            "deprecated planner free functions used outside the shim "
-            f"module:\n" + "\n".join(bad)
-        )

@@ -241,24 +241,6 @@ class TestSimulator:
         with pytest.raises(ConfigurationError, match="mismatch"):
             CloudSimulator(caffenet_time_model(), googlenet_accuracy_model())
 
-    def test_sweep_is_cross_product_and_deprecated(self, sim):
-        cfgs = [
-            ResourceConfiguration([CloudInstance(instance_type(n))])
-            for n in ("p2.xlarge", "g3.4xlarge")
-        ]
-        specs = [PruneSpec.unpruned(), PruneSpec({"conv1": 0.2})]
-        with pytest.warns(DeprecationWarning, match="evalspace"):
-            results = sim.sweep(specs, cfgs, 10_000)
-        assert len(results) == 4
-        # the shim delegates to the evaluation core, same row order
-        expected = [
-            sim.run(spec, cfg, 10_000) for spec in specs for cfg in cfgs
-        ]
-        assert [(r.spec, r.configuration) for r in results] == [
-            (r.spec, r.configuration) for r in expected
-        ]
-        assert [r.time_s for r in results] == [r.time_s for r in expected]
-
     def test_zero_images_rejected(self, sim):
         cfg = ResourceConfiguration(
             [CloudInstance(instance_type("p2.xlarge"))]

@@ -1,21 +1,24 @@
 """Differential tests for the columnar serving/routing engines.
 
-The columnar engine is an exact-replay rewrite: it must make the same
-IEEE-754 float operations in the same order as the per-event reference,
-so every comparison here is bit-for-bit (``repr`` / ``tobytes``), not
-``allclose``.  The sweeps are property-style — seeds x fault plans x
-batch policies x admission configs — deliberately covering the fast
-paths *and* the branches that force the scalar fallbacks.
+The columnar engines are exact-replay rewrites: they must make the same
+IEEE-754 float operations in the same order as the per-event loops in
+:mod:`repro.serving.reference`, so every comparison here is bit-for-bit
+(``repr`` / ``tobytes``), not ``allclose``.  The sweeps are
+property-style — seeds x fault plans x batch policies x admission
+configs — deliberately covering the fast paths *and* the branches that
+force the scalar loops.
 
 The one intentionally approximate kernel is
 :func:`repro.serving.router.fluid_backlog_trajectory`, whose prefix-max
 closed form regroups float terms; it is tested against the stepped
-:class:`~repro.serving.router._RoutingState` with a tight tolerance.
+reference ``_RoutingState`` with a tight tolerance.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,20 +38,18 @@ from repro.obs.telemetry import (
 )
 from repro.pruning.base import PruneSpec
 from repro.serving import (
+    ROUTING_POLICIES,
     AdmissionPolicy,
     BatchPolicy,
     FleetRouter,
-    FleetSpec,
-    FleetWorkload,
     ReplicaSpec,
     ServingSimulator,
-    evaluate_fleet,
     fluid_backlog_trajectory,
     poisson_arrivals,
 )
+from repro.serving import reference
 from repro.serving.events import EventQueue
-from repro.serving.fleet import clear_fleet_cache
-from repro.serving.router import _RoutingState
+from repro.serving.router import _total_backlog
 
 TM = caffenet_time_model()
 AM = caffenet_accuracy_model()
@@ -66,10 +67,8 @@ def _config(itype: str, n: int = 1) -> ResourceConfiguration:
     )
 
 
-def _simulator(itype, spec, policy, engine) -> ServingSimulator:
-    return ServingSimulator(
-        TM, AM, _config(itype), spec, policy, engine=engine
-    )
+def _simulator(itype, spec, policy) -> ServingSimulator:
+    return ServingSimulator(TM, AM, _config(itype), spec, policy)
 
 
 def _report_fingerprint(report) -> tuple:
@@ -183,29 +182,24 @@ class TestServingEngineEquivalence:
             if rng.random() < 0.7
             else None
         )
-        results = {}
-        for engine in ("event", "columnar"):
-            telemetry = ServingTelemetry(slo=slo)
-            report = _simulator(itype, spec, policy, engine).run(
-                arrivals, faults=plan, telemetry=telemetry
-            )
-            results[engine] = (
-                _report_fingerprint(report),
-                _telemetry_fingerprint(telemetry),
-            )
-        assert results["event"] == results["columnar"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _simulator("p2.xlarge", SWEET, BatchPolicy(8), "vector")
+        sim = _simulator(itype, spec, policy)
+        columnar_telemetry = ServingTelemetry(slo=slo)
+        columnar = sim.run(
+            arrivals, faults=plan, telemetry=columnar_telemetry
+        )
+        reference_telemetry = ServingTelemetry(slo=slo)
+        replay = reference.serve(sim, arrivals, plan, reference_telemetry)
+        assert _report_fingerprint(columnar) == _report_fingerprint(replay)
+        assert _telemetry_fingerprint(
+            columnar_telemetry
+        ) == _telemetry_fingerprint(reference_telemetry)
 
     def test_negative_arrivals_rejected_by_both_engines(self):
-        for engine in ("event", "columnar"):
-            sim = _simulator(
-                "p2.xlarge", SWEET, BatchPolicy(8), engine
-            )
-            with pytest.raises(ValueError):
-                sim.run(np.array([-1.0, 0.5]))
+        sim = _simulator("p2.xlarge", SWEET, BatchPolicy(8))
+        with pytest.raises(ValueError):
+            sim.run(np.array([-1.0, 0.5]))
+        with pytest.raises(ValueError):
+            reference.serve(sim, np.array([-1.0, 0.5]), FaultPlan.none())
 
 
 def _replicas(rng: random.Random, count: int) -> list[ReplicaSpec]:
@@ -252,8 +246,8 @@ class TestRouteDecisionEquivalence:
     """The columnar decision pass replays the reference loop exactly.
 
     The sweep covers every routing policy, every admission shape, and
-    replica counts on both sides of the depth-shedding sum fallback
-    (``>= 8`` replicas fall back to the reference loop outright).
+    replica counts up to nine; depth-limited fleets of eight to ten
+    replicas get their own sweep under all five policies.
     """
 
     @pytest.mark.parametrize("trial", range(60))
@@ -279,42 +273,125 @@ class TestRouteDecisionEquivalence:
         router = FleetRouter(
             TM, AM, replicas, routing=routing, admission=admission
         )
-        columnar = router.route(arrivals, floors)
-        reference = router._route_reference(
-            np.asarray(arrivals, dtype=float),
-            np.zeros(arrivals.size)
-            if floors is None
-            else np.asarray(floors, dtype=float),
-            np.full(arrivals.size, np.inf),
-        )
-        assert np.array_equal(columnar, reference)
-
-    def test_engine_event_routes_through_reference(self):
-        arrivals = poisson_arrivals(80.0, 5.0, seed=3)
-        kwargs = dict(
-            routing="tiered",
-            admission=AdmissionPolicy(rate_per_s=60.0, burst=16),
-        )
-        replicas = _replicas(random.Random(5), 3)
-        event = FleetRouter(
-            TM, AM, replicas, engine="event", **kwargs
-        )
-        columnar = FleetRouter(
-            TM, AM, replicas, engine="columnar", **kwargs
-        )
-        floors = np.random.default_rng(5).choice(
-            [0.0, 75.0], size=arrivals.size
-        )
         assert np.array_equal(
-            event.route(arrivals, floors),
-            columnar.route(arrivals, floors),
+            router.route(arrivals, floors),
+            reference.route(router, arrivals, floors),
         )
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FleetRouter(
-                TM, AM, _replicas(random.Random(0), 1), engine="x"
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("routing", ROUTING_POLICIES)
+    def test_depth_limited_large_fleet_bit_identical(self, routing, seed):
+        """8-10 replicas offered 1.3x their capacity, so both the
+        ``degrade_limit`` and the ``queue_limit`` bind."""
+        rng = random.Random(5500 + seed)
+        replicas = _replicas(rng, rng.choice([8, 9, 10]))
+        admission = AdmissionPolicy(
+            rate_per_s=rng.choice([None, 1500.0]),
+            burst=64,
+            queue_limit=rng.choice([40.0, 120.0]),
+            degrade_limit=rng.choice([10.0, 40.0]),
+        )
+        router = FleetRouter(
+            TM, AM, replicas, routing=routing, admission=admission
+        )
+        arrivals = poisson_arrivals(
+            1.3 * sum(router.capacities), 2.0, seed=seed
+        )
+        drng = np.random.default_rng(seed)
+        floors = drng.choice([0.0, 75.0, 82.0], size=arrivals.size)
+        deadlines = drng.choice([0.05, 0.5, np.inf], size=arrivals.size)
+        columnar = router.route(arrivals, floors, deadlines)
+        assert (columnar == -1).any()  # the depth limits bind
+        assert np.array_equal(
+            columnar,
+            reference.route(router, arrivals, floors, deadlines),
+        )
+
+
+class TestReferenceIsTestOnly:
+    def test_no_production_module_imports_the_reference(self):
+        """The reference loops are the tests' oracle, never an engine:
+        no module under ``src/`` imports them, lazily or not."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        importers = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(
+                    n.startswith("repro.serving.reference") for n in names
+                ):
+                    importers.append(path.relative_to(src).as_posix())
+        assert importers == []
+
+
+class _UnitCapacityRouter(FleetRouter):
+    """A router whose replicas all drain one request per second."""
+
+    def _capacity(self, replica: ReplicaSpec) -> float:
+        return 1.0
+
+
+class TestBacklogSumOrder:
+    """Depth limits compare one fixed-order, left-to-right backlog sum.
+
+    On backlogs ``(1.0, 2**-53, 2**-53)`` that sum is ``1.0``; the
+    compensated ``sum()`` of Python 3.12 gives ``1.0000000000000002``.
+    A limit between the two must shed or degrade by the left-to-right
+    value in both engines, on every Python version.
+    """
+
+    LIMIT = float(np.nextafter(1.0, 2.0))
+
+    def _route(self, admission, last_floor):
+        replicas = [
+            ReplicaSpec(
+                name,
+                _config("p2.xlarge"),
+                spec,
+                BatchPolicy(8),
+                hourly_rate=rate,
             )
+            for name, spec, rate in (
+                ("gold", PruneSpec.unpruned(), 2.5),
+                ("a", SWEET, 1.0),
+                ("b", SWEET, 1.0),
+            )
+        ]
+        router = _UnitCapacityRouter(
+            TM, AM, replicas, routing="tiered", admission=admission
+        )
+        # "a" and "b" take one request each at t=0 and drain to 2**-53
+        # at t=1-2**-53, when "gold" takes one; the last arrival then
+        # reads backlogs (1.0, 2**-53, 2**-53)
+        late = 1.0 - 2.0**-53
+        arrivals = np.array([0.0, 0.0, late, late])
+        floors = np.array([0.0, 0.0, 100.0, last_floor])
+        picks = router.route(arrivals, floors)
+        assert np.array_equal(
+            picks, reference.route(router, arrivals, floors)
+        )
+        return picks.tolist()
+
+    def test_total_backlog_sums_left_to_right(self):
+        assert _total_backlog([1.0, 2.0**-53, 2.0**-53]) == 1.0
+        # nine terms: past the length where np.sum starts regrouping
+        assert _total_backlog([1.0] + [2.0**-53] * 8) == 1.0
+        assert 1.0 < self.LIMIT
+
+    def test_queue_limit_reads_left_to_right_sum(self):
+        picks = self._route(AdmissionPolicy(queue_limit=self.LIMIT), 0.0)
+        assert picks == [1, 2, 0, 1]  # admitted, not shed
+
+    def test_degrade_limit_reads_left_to_right_sum(self):
+        picks = self._route(
+            AdmissionPolicy(degrade_limit=self.LIMIT), 100.0
+        )
+        assert picks == [1, 2, 0, 0]  # floor kept, not waived
 
 
 def _adaptive_admission(rng: random.Random) -> AdmissionPolicy | None:
@@ -347,7 +424,7 @@ class TestAdaptiveDecisionEquivalence:
 
     Seeds x admission shapes (including ``degrade_limit``, which
     forces the depth-read paths) x deadline mixtures x replica counts
-    on both sides of the ``>= 8``-replica reference fallback.
+    up to nine.
     """
 
     @pytest.mark.parametrize("trial", range(40))
@@ -373,15 +450,10 @@ class TestAdaptiveDecisionEquivalence:
         router = FleetRouter(
             TM, AM, replicas, routing="adaptive", admission=admission
         )
-        columnar = router.route(arrivals, floors, deadlines)
-        reference = router._route_reference(
-            np.asarray(arrivals, dtype=float),
-            np.asarray(floors, dtype=float),
-            np.full(arrivals.size, np.inf)
-            if deadlines is None
-            else np.asarray(deadlines, dtype=float),
+        assert np.array_equal(
+            router.route(arrivals, floors, deadlines),
+            reference.route(router, arrivals, floors, deadlines),
         )
-        assert np.array_equal(columnar, reference)
 
     def test_degrade_limit_with_tiered_bit_identical(self):
         """The admission-level degradation rung is policy-agnostic;
@@ -402,115 +474,138 @@ class TestAdaptiveDecisionEquivalence:
             floors = np.random.default_rng(seed).choice(
                 [0.0, 75.0, 99.0], size=arrivals.size
             )
-            columnar = router.route(arrivals, floors)
-            reference = router._route_reference(
-                np.asarray(arrivals, dtype=float),
-                np.asarray(floors, dtype=float),
-                np.full(arrivals.size, np.inf),
+            assert np.array_equal(
+                router.route(arrivals, floors),
+                reference.route(router, arrivals, floors),
             )
-            assert np.array_equal(columnar, reference)
+
+
+def _fleet_fingerprint(report) -> tuple:
+    """Sheds plus every replica's assignment count and report."""
+    return report.shed, tuple(
+        (
+            o.assigned,
+            None if o.report is None else _report_fingerprint(o.report),
+        )
+        for o in report.outcomes
+    )
+
+
+def _reference_fleet_fingerprint(
+    router, arrivals, floors=None, deadlines=None
+) -> tuple:
+    """:func:`_fleet_fingerprint` of the same run composed from the
+    reference loops: ``reference.route``, then ``reference.serve`` on
+    every (static) replica's sub-stream."""
+    assignment = reference.route(router, arrivals, floors, deadlines)
+    rows = []
+    for index, replica in enumerate(router.replicas):
+        sub = arrivals[assignment == index]
+        if sub.size == 0:
+            rows.append((0, None))
+            continue
+        sim = ServingSimulator(
+            TM,
+            AM,
+            replica.configuration,
+            replica.spec,
+            replica.policy,
+            hourly_rate=replica.hourly_rate,
+        )
+        plan = FaultPlan.none() if replica.faults is None else replica.faults
+        report = reference.serve(sim, sub, plan)
+        rows.append((int(sub.size), _report_fingerprint(report)))
+    return int((assignment == -1).sum()), tuple(rows)
+
+
+def _with_faults(rng: random.Random, replicas, duration: float):
+    return [
+        ReplicaSpec(
+            name=r.name,
+            configuration=r.configuration,
+            spec=r.spec,
+            policy=r.policy,
+            hourly_rate=r.hourly_rate,
+            weight=r.weight,
+            faults=_fault_plan(rng, duration),
+        )
+        for r in replicas
+    ]
 
 
 class TestFleetEngineEquivalence:
-    """End-to-end: full fleet runs agree byte-for-byte across engines."""
-
-    def _fleet_fingerprint(self, report) -> tuple:
-        return (
-            report.offered,
-            report.shed,
-            repr(report.duration_s),
-            report.latencies_s.tobytes(),
-            repr(report.cost),
-            tuple(
-                (o.assigned, o.served, o.dropped, repr(o.cost))
-                for o in report.outcomes
-            ),
-        )
+    """End-to-end: a fleet run equals the same run composed from the
+    reference routing and serving loops, byte for byte."""
 
     def test_routed_fleet_bit_identical_across_engines(self):
         arrivals = poisson_arrivals(150.0, 12.0, seed=11)
         floors = np.random.default_rng(11).choice(
             [0.0, 75.0], size=arrivals.size
         )
-        replicas = _replicas(random.Random(21), 3)
-        fingerprints = {}
-        for engine in ("event", "columnar"):
-            router = FleetRouter(
-                TM,
-                AM,
-                replicas,
-                routing="tiered",
-                admission=AdmissionPolicy(
-                    rate_per_s=120.0, burst=32
-                ),
-                engine=engine,
-            )
-            fingerprints[engine] = self._fleet_fingerprint(
-                router.run(arrivals, floors=floors)
-            )
-        assert fingerprints["event"] == fingerprints["columnar"]
+        router = FleetRouter(
+            TM,
+            AM,
+            _replicas(random.Random(21), 3),
+            routing="tiered",
+            admission=AdmissionPolicy(rate_per_s=120.0, burst=32),
+        )
+        assert _fleet_fingerprint(
+            router.run(arrivals, floors=floors)
+        ) == _reference_fleet_fingerprint(router, arrivals, floors)
 
     def test_adaptive_fleet_bit_identical_across_engines(self):
         """Seeds x fault plans x deadline mixtures: the full adaptive
-        run (decisions + serving + floor accounting) agrees."""
+        run (decisions + serving) agrees."""
         for seed in (2, 9, 17):
             rng = random.Random(600 + seed)
-            replicas = [
-                ReplicaSpec(
-                    name=r.name,
-                    configuration=r.configuration,
-                    spec=r.spec,
-                    policy=r.policy,
-                    hourly_rate=r.hourly_rate,
-                    faults=_fault_plan(rng, 12.0),
-                )
-                for r in _replicas(rng, 3)
-            ]
+            replicas = _with_faults(rng, _replicas(rng, 3), 12.0)
             arrivals = poisson_arrivals(150.0, 12.0, seed=seed)
             drng = np.random.default_rng(seed)
             floors = drng.choice([0.0, 75.0], size=arrivals.size)
             deadlines = drng.choice(
                 [0.05, 0.5, np.inf], size=arrivals.size
             )
-            fingerprints = {}
-            for engine in ("event", "columnar"):
-                router = FleetRouter(
-                    TM,
-                    AM,
-                    replicas,
-                    routing="adaptive",
-                    admission=AdmissionPolicy(
-                        queue_limit=80.0, degrade_limit=30.0
-                    ),
-                    engine=engine,
-                )
-                report = router.run(
-                    arrivals, floors=floors, deadlines=deadlines
-                )
-                fingerprints[engine] = self._fleet_fingerprint(
-                    report
-                ) + (
-                    report.degraded,
-                    tuple(o.at_floor for o in report.outcomes),
-                )
-            assert fingerprints["event"] == fingerprints["columnar"]
-
-    def test_fleet_cache_shared_across_engines(self):
-        """``engine`` is absent from the cache key on purpose: both
-        engines produce the same report, so one evaluation serves
-        both."""
-        clear_fleet_cache()
-        workload = FleetWorkload(40.0, 4.0, seed=9)
-        replicas = tuple(_replicas(random.Random(33), 2))
-        by_engine = {}
-        for engine in ("columnar", "event"):
-            spec = FleetSpec(
-                TM, AM, replicas, routing="jsq", engine=engine
+            router = FleetRouter(
+                TM,
+                AM,
+                replicas,
+                routing="adaptive",
+                admission=AdmissionPolicy(
+                    queue_limit=80.0, degrade_limit=30.0
+                ),
             )
-            by_engine[engine] = evaluate_fleet(spec, workload)
-        # second call was a pure cache hit: identical object
-        assert by_engine["event"] is by_engine["columnar"]
-        clear_fleet_cache()
+            report = router.run(
+                arrivals, floors=floors, deadlines=deadlines
+            )
+            assert _fleet_fingerprint(
+                report
+            ) == _reference_fleet_fingerprint(
+                router, arrivals, floors, deadlines
+            )
+
+    @pytest.mark.parametrize("routing", ROUTING_POLICIES)
+    def test_faulty_nine_replica_fleet_bit_identical(self, routing):
+        """Every policy on a depth-limited nine-replica fleet whose
+        replicas each run their own fault plan."""
+        rng = random.Random(650 + ROUTING_POLICIES.index(routing))
+        router = FleetRouter(
+            TM,
+            AM,
+            _with_faults(rng, _replicas(rng, 9), 3.0),
+            routing=routing,
+            admission=AdmissionPolicy(queue_limit=30.0, degrade_limit=10.0),
+        )
+        arrivals = poisson_arrivals(
+            1.2 * sum(router.capacities), 3.0, seed=rng.randrange(99)
+        )
+        drng = np.random.default_rng(rng.randrange(99))
+        floors = drng.choice([0.0, 75.0], size=arrivals.size)
+        deadlines = drng.choice([0.05, 0.5, np.inf], size=arrivals.size)
+        report = router.run(arrivals, floors=floors, deadlines=deadlines)
+        assert report.shed > 0
+        assert _fleet_fingerprint(report) == _reference_fleet_fingerprint(
+            router, arrivals, floors, deadlines
+        )
 
 
 class TestFluidBacklogTrajectory:
@@ -522,7 +617,7 @@ class TestFluidBacklogTrajectory:
             count = int(rng.integers(1, 5))
             capacities = rng.uniform(0.1, 50.0, count)
             assignment = rng.integers(-1, count, n)
-            state = _RoutingState(capacities)
+            state = reference._RoutingState(capacities)
             expected = np.empty((n, count))
             for i, (t, a) in enumerate(zip(arrivals, assignment)):
                 state.advance(float(t))

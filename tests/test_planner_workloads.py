@@ -10,9 +10,9 @@ from repro.cloud import CloudSimulator, P2_TYPES
 from repro.core.config_space import enumerate_configurations
 from repro.core.planner import (
     PlanningSpace,
-    iso_accuracy_frontier,
-    min_budget_for,
-    min_deadline_for,
+    _iso_accuracy_frontier,
+    _min_budget_for,
+    _min_deadline_for,
 )
 from repro.errors import InfeasibleError
 from repro.pruning import PruneSpec
@@ -40,41 +40,41 @@ def space():
 
 class TestPlanner:
     def test_min_budget_meets_both_constraints(self, space):
-        result = min_budget_for(
+        result = _min_budget_for(
             space, target_accuracy=80.0, deadline_s=2 * 3600.0
         )
         assert result.accuracy.top5 >= 80.0
         assert result.time_s <= 2 * 3600.0
 
     def test_min_budget_is_minimal(self, space):
-        best = min_budget_for(space, 80.0, 2 * 3600.0)
+        best = _min_budget_for(space, 80.0, 2 * 3600.0)
         for r in space.results:
             if r.accuracy.top5 >= 80.0 and r.time_s <= 2 * 3600.0:
                 assert r.cost >= best.cost - 1e-9
 
     def test_tighter_deadline_costs_more(self, space):
-        loose = min_budget_for(space, 80.0, 10 * 3600.0)
-        tight = min_budget_for(space, 80.0, 1 * 3600.0)
+        loose = _min_budget_for(space, 80.0, 10 * 3600.0)
+        tight = _min_budget_for(space, 80.0, 1 * 3600.0)
         assert tight.cost >= loose.cost
 
     def test_min_deadline_respects_budget(self, space):
-        result = min_deadline_for(space, 80.0, budget=30.0)
+        result = _min_deadline_for(space, 80.0, budget=30.0)
         assert result.cost <= 30.0
         assert result.accuracy.top5 >= 80.0
 
     def test_richer_budget_is_faster(self, space):
-        poor = min_deadline_for(space, 80.0, budget=30.0)
-        rich = min_deadline_for(space, 80.0, budget=200.0)
+        poor = _min_deadline_for(space, 80.0, budget=30.0)
+        rich = _min_deadline_for(space, 80.0, budget=200.0)
         assert rich.time_s <= poor.time_s
 
     def test_infeasible_raises(self, space):
         with pytest.raises(InfeasibleError):
-            min_budget_for(space, 99.0, 3600.0)  # accuracy unreachable
+            _min_budget_for(space, 99.0, 3600.0)  # accuracy unreachable
         with pytest.raises(InfeasibleError):
-            min_deadline_for(space, 80.0, budget=0.001)
+            _min_deadline_for(space, 80.0, budget=0.001)
 
     def test_iso_accuracy_frontier_trades_time_for_money(self, space):
-        front = iso_accuracy_frontier(space, 80.0)
+        front = _iso_accuracy_frontier(space, 80.0)
         assert len(front) >= 2
         times = [r.time_s for r in front]
         costs = [r.cost for r in front]
@@ -93,37 +93,37 @@ class TestPlannerInfeasibleEdges:
         with pytest.raises(
             InfeasibleError, match=r"99\.0% top5 within 3600s"
         ):
-            min_budget_for(space, 99.0, 3600.0)
+            _min_budget_for(space, 99.0, 3600.0)
         with pytest.raises(
             InfeasibleError, match=r"99\.0% top5 within \$5\.00"
         ):
-            min_deadline_for(space, 99.0, budget=5.0)
+            _min_deadline_for(space, 99.0, budget=5.0)
 
     def test_target_exactly_at_reachable_accuracy_is_feasible(self, space):
         target = space.reachable_accuracy()
-        result = min_budget_for(space, target, deadline_s=100 * 3600.0)
+        result = _min_budget_for(space, target, deadline_s=100 * 3600.0)
         assert result.accuracy.top5 >= target
 
     def test_target_just_above_reachable_is_infeasible(self, space):
         target = space.reachable_accuracy() + 1e-6
         with pytest.raises(InfeasibleError):
-            min_budget_for(space, target, deadline_s=100 * 3600.0)
+            _min_budget_for(space, target, deadline_s=100 * 3600.0)
         with pytest.raises(InfeasibleError):
-            iso_accuracy_frontier(space, target)
+            _iso_accuracy_frontier(space, target)
 
     def test_reachable_accuracy_but_impossible_deadline(self, space):
         # the accuracy filter alone is non-empty; the deadline empties it
         with pytest.raises(InfeasibleError):
-            min_budget_for(space, 80.0, deadline_s=1.0)
+            _min_budget_for(space, 80.0, deadline_s=1.0)
 
     def test_reachable_accuracy_but_zero_budget(self, space):
         with pytest.raises(InfeasibleError):
-            min_deadline_for(space, 80.0, budget=0.0)
+            _min_deadline_for(space, 80.0, budget=0.0)
 
     def test_iso_frontier_unconstrained_by_time_or_money(self, space):
         # the frontier query has no (T', C') box: any reachable target
         # yields at least one point even when budgets would be absurd
-        front = iso_accuracy_frontier(space, space.reachable_accuracy())
+        front = _iso_accuracy_frontier(space, space.reachable_accuracy())
         assert len(front) >= 1
         assert all(
             r.accuracy.top5 >= space.reachable_accuracy() for r in front

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import runner
 from repro.experiments.runner import REGISTRY, run_all
 
 FAST_ARTEFACTS = (
@@ -78,20 +77,8 @@ class TestRunAll:
 
 
 class TestDeprecatedShims:
-    def test_experiments_dict_warns_and_matches_registry(self):
-        with pytest.deprecated_call():
-            legacy = runner.EXPERIMENTS
-        assert set(legacy) == set(REGISTRY)
-        title, renderer = legacy["table3"]
-        assert title == REGISTRY["table3"].title
-        assert "p2.xlarge" in renderer()
-
-    def test_experiment_output_warns_and_aliases_result(self):
-        from repro.experiments.engine import ExperimentResult
-
-        with pytest.deprecated_call():
-            legacy_cls = runner.ExperimentOutput
-        assert legacy_cls is ExperimentResult
+    """The pre-engine ``EXPERIMENTS`` / ``ExperimentOutput`` shims are
+    gone; ``run_all`` still returns the fields they carried."""
 
     def test_run_all_keeps_old_output_shape(self):
         (output,) = run_all(("table3",))
