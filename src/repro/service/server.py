@@ -74,6 +74,12 @@ __all__ = ["PlanningServer", "PlanningService", "ServiceMonitor"]
 _JSON = "application/json"
 _OPENMETRICS = "text/plain; version=0.0.4; charset=utf-8"
 
+#: the largest request body the server reads; a longer
+#: ``Content-Length`` is answered 413 without reading the body.  Real
+#: requests stay under a few KB (a plan query ~0.2 KB, a two-design
+#: fleet evaluation ~0.8 KB).
+MAX_BODY_BYTES = 1 << 20
+
 
 class ServiceMonitor:
     """Windowed live telemetry + anomaly detection for one service.
@@ -385,17 +391,46 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _handle(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
+        raw = self.headers.get("Content-Length", "0").strip()
+        error = None
+        if not (raw.isascii() and raw.isdigit()):
+            # a negative length would read to EOF; a garbled one would
+            # leave the body to be parsed as the next request
+            error = ApiError(
+                "invalid_request", f"malformed Content-Length {raw[:32]!r}"
+            )
+        elif len(raw) > 18 or int(raw) > MAX_BODY_BYTES:
+            # (the length test keeps int() under its digit limit)
+            error = ApiError(
+                "invalid_request",
+                f"request body over the {MAX_BODY_BYTES}-byte limit",
+                http_status=413,
+            )
+        if error is not None:
+            # the body stays unread, so the connection must close
+            self._reply(*self.server.service._error(error), close=True)
+            return
+        length = int(raw)
         body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.server.service.dispatch(
-            self.command, self.path, body, headers=self.headers
+        self._reply(
+            *self.server.service.dispatch(
+                self.command, self.path, body, headers=self.headers
+            )
         )
+
+    def _reply(
+        self,
+        status: int,
+        content_type: str,
+        payload: bytes,
+        close: bool = False,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            # send_header also sets close_connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 

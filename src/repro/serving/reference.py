@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError
 from repro.obs import get_metrics
 from repro.serving.batcher import PendingQueue
 from repro.serving.events import EventQueue
-from repro.serving.router import _total_backlog
 from repro.serving.simulator import (
     _DROPPED,
     _SERVED,
@@ -219,6 +218,20 @@ def serve(
 # ----------------------------------------------------------------------
 # routing
 # ----------------------------------------------------------------------
+def _total_backlog(backlog: Sequence[float]) -> float:
+    """Fleet-wide fluid queue estimate (what depth limits compare).
+
+    One fixed-order, left-to-right ``+=`` sum, which the decision pass
+    in :meth:`~repro.serving.router.FleetRouter.route` reproduces as it
+    drains: ``sum()`` switched to compensated summation in Python 3.12
+    and ``np.sum`` regroups from eight elements on.
+    """
+    total = 0.0
+    for b in backlog:
+        total += b
+    return total
+
+
 class _RoutingState:
     """Mutable per-run view the policies share.
 

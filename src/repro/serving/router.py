@@ -220,20 +220,6 @@ ROUTING_POLICIES: tuple[str, ...] = (
 )
 
 
-def _total_backlog(backlog: Sequence[float]) -> float:
-    """Fleet-wide fluid queue estimate (what depth limits compare).
-
-    One fixed-order, left-to-right ``+=`` sum, so the decision pass and
-    the reference loop round it identically: ``sum()`` switched to
-    compensated summation in Python 3.12 and ``np.sum`` regroups from
-    eight elements on.
-    """
-    total = 0.0
-    for b in backlog:
-        total += b
-    return total
-
-
 def fluid_backlog_trajectory(
     arrivals: np.ndarray,
     assignment: np.ndarray,
@@ -769,15 +755,17 @@ class FleetRouter:
                 raise ConfigurationError(
                     "deadlines must align with arrivals"
                 )
-        return self._route_columnar(arrivals, floors, deadlines)
+        if self.routing == "adaptive":
+            return self._route_adaptive(arrivals, floors, deadlines)
+        return self._route_columnar(arrivals, floors)
 
     def _route_columnar(
         self,
         arrivals: np.ndarray,
         floors: np.ndarray,
-        deadlines: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized decision pass, bit-identical to the reference
+        """Vectorized decision pass for every policy but ``adaptive``
+        (see :meth:`_route_adaptive`), bit-identical to the reference
         :func:`repro.serving.reference.route`.
 
         Strategy: hoist everything that does not depend on the fluid
@@ -792,14 +780,12 @@ class FleetRouter:
           bucket, when present, is a cheap scalar pre-pass.
         * Otherwise a scalar loop runs with plain Python floats,
           draining only the *tracked* replicas a decision can read.
-          ``adaptive`` reads every backlog (its estimated waits), so
-          it always takes this path with all replicas tracked.  Scalar
-          ``max(0, b - dt*c)`` / first-min scans replicate the
+          Scalar ``max(0, b - dt*c)`` / first-min scans replicate the
           reference's ``np.maximum``/``np.argmin`` exactly (same IEEE
-          ops, first-extremum ties), and ``backlog / capacity`` is the
-          same IEEE division either way.  Depth limits compare one
-          :func:`_total_backlog` per arrival, the same fixed-order sum
-          the reference computes.
+          ops, first-extremum ties).  Depth limits track every replica
+          and add each drained backlog to the fleet total as it is
+          written, left to right: the same fixed-order sum the
+          reference computes, in the same pass as the drain.
         """
         n = arrivals.size
         n_replicas = len(self.replicas)
@@ -838,7 +824,7 @@ class FleetRouter:
                 zero_cands = _tier_cands(0.0)
 
         # which replicas can a decision actually read?
-        if depth_read or routing in ("jsq", "adaptive"):
+        if depth_read or routing == "jsq":
             tracked = list(range(n_replicas))
         elif routing == "tiered":
             tracked = sorted(
@@ -877,10 +863,10 @@ class FleetRouter:
             return assignment
 
         # --- scalar loop over python floats ---------------------------
-        arrival_list = arrivals.tolist()
         capacity = [float(c) for c in self.capacities]
         backlog = [0.0] * n_replicas
         last_t = 0.0
+        total = 0.0
         rate_on = rate is not None
         tokens = float(admission.burst) if admission is not None else 0.0
         burst = tokens
@@ -892,21 +878,26 @@ class FleetRouter:
             weights = self._weights.tolist()
             current = [0.0] * n_replicas
             wsum = float(self._weights.sum())
-        elif routing == "tiered":
-            code_list = codes.tolist()
-        elif routing == "adaptive":
-            top5 = self._top5.tolist()
-            rates_ph = self._rates.tolist()
-            floor_list = floors.tolist()
-            deadline_list = deadlines.tolist()
-        for i in range(n):
-            t = arrival_list[i]
+        code_list = codes.tolist() if routing == "tiered" else [0] * n
+        for t, code in zip(arrivals.tolist(), code_list):
             dt = t - last_t
             if dt > 0.0:
+                # drain and sum in one pass; the sum is read only under
+                # depth limits, which track every replica in order, and
+                # skipping zero terms is exact (x + 0.0 == x, x >= +0.0)
+                total = 0.0
                 for r in tracked:
                     drained = backlog[r] - dt * capacity[r]
-                    backlog[r] = drained if drained > 0.0 else 0.0
+                    if drained > 0.0:
+                        backlog[r] = drained
+                        total += drained
+                    else:
+                        backlog[r] = 0.0
                 last_t = t
+            elif depth_read:
+                total = 0.0
+                for b in backlog:
+                    total += b
             degrade = False
             if admission is not None:
                 if rate_on:
@@ -915,8 +906,6 @@ class FleetRouter:
                     if tokens > burst:
                         tokens = burst
                     last_refill = t
-                if depth_read:
-                    total = _total_backlog(backlog)
                 if (queue_limit is not None and total >= queue_limit) or (
                     rate_on and tokens < 1.0
                 ):
@@ -949,56 +938,8 @@ class FleetRouter:
                         best = credit
                         pick = r
                 current[pick] -= wsum
-            elif routing == "adaptive":
-                floor = 0.0 if degrade else floor_list[i]
-                deadline = deadline_list[i]
-                # lexicographic (rate, backlog, index) min over the
-                # floor-and-deadline-eligible set — same winner as the
-                # reference's argmin-over-cheapest-subset expressions
-                pick = -1
-                min_floor = floor - 1e-9
-                for r in range(n_replicas):
-                    if (
-                        backlog[r] / capacity[r] <= deadline
-                        and top5[r] >= min_floor
-                    ):
-                        rr = rates_ph[r]
-                        if (
-                            pick < 0
-                            or rr < best_rate
-                            or (
-                                rr == best_rate
-                                and backlog[r] < best_backlog
-                            )
-                        ):
-                            pick = r
-                            best_rate = rr
-                            best_backlog = backlog[r]
-                if pick < 0:
-                    # degrade: most accurate replica inside the
-                    # deadline (first max), else min estimated wait
-                    best = float("-inf")
-                    for r in range(n_replicas):
-                        if (
-                            backlog[r] / capacity[r] <= deadline
-                            and top5[r] > best
-                        ):
-                            best = top5[r]
-                            pick = r
-                    if pick < 0:
-                        pick = 0
-                        best = backlog[0] / capacity[0]
-                        for r in range(1, n_replicas):
-                            wait = backlog[r] / capacity[r]
-                            if wait < best:
-                                best = wait
-                                pick = r
             else:  # tiered with backlog tie-breaks
-                cands = (
-                    zero_cands
-                    if degrade
-                    else cand_sets[code_list[i]]
-                )
+                cands = zero_cands if degrade else cand_sets[code]
                 pick = cands[0]
                 if len(cands) > 1:
                     best = backlog[pick]
@@ -1006,6 +947,137 @@ class FleetRouter:
                         if backlog[r] < best:
                             best = backlog[r]
                             pick = r
+            backlog[pick] += 1.0
+            picks.append(pick)
+        return np.asarray(picks, dtype=np.int64)
+
+    def _route_adaptive(
+        self,
+        arrivals: np.ndarray,
+        floors: np.ndarray,
+        deadlines: np.ndarray,
+    ) -> np.ndarray:
+        """The ``adaptive`` decision pass, bit-identical to the reference
+        :func:`repro.serving.reference.route`.
+
+        Only the timeliness test ``backlog / capacity <= deadline`` (the
+        reference's own IEEE division) and backlog comparisons depend on
+        the fluid state, so the rest is precomputed once per *distinct*
+        floor, plus floor 0 for degraded requests:
+
+        * the floor-eligible replicas grouped by equal hourly rate, the
+          groups in ascending rate and declaration order inside each.
+          The first group holding a timely replica is the reference's
+          cheapest eligible set; its smallest backlog wins, the first
+          index on ties (``np.argmin``'s first minimum).
+        * one accuracy-descending order (declaration order on ties) for
+          the "most accurate timely replica" fallback: its first timely
+          entry is the reference's ``np.argmax`` winner.  The last rung,
+          the smallest estimated wait, is a plain first-min scan.
+
+        The tables are keyed by floor, never by deadline: they hold
+        (distinct floors + 1) x replicas entries, and continuous
+        per-request deadlines cost nothing extra.  Each arrival drains
+        every backlog and sums it in one left-to-right pass, as the
+        shared loop of :meth:`_route_columnar` does under depth limits.
+        """
+        n_replicas = len(self.replicas)
+        admission = self.admission
+        rate = admission.rate_per_s if admission is not None else None
+        queue_limit = (
+            admission.queue_limit if admission is not None else None
+        )
+        degrade_limit = (
+            admission.degrade_limit if admission is not None else None
+        )
+        top5 = self._top5
+        rates = self._rates
+
+        def _rate_groups(floor: float) -> tuple[tuple[int, ...], ...]:
+            eligible = np.flatnonzero(top5 >= floor - 1e-9)
+            eligible_rates = rates[eligible]
+            return tuple(
+                tuple(eligible[eligible_rates == r].tolist())
+                for r in np.unique(eligible_rates).tolist()
+            )
+
+        uniq, codes = np.unique(floors, return_inverse=True)
+        groups_by_code = [_rate_groups(f) for f in uniq.tolist()]
+        zero_groups = _rate_groups(0.0)
+        by_accuracy = np.argsort(-top5, kind="stable").tolist()
+
+        capacity = [float(c) for c in self.capacities]
+        backlog = [0.0] * n_replicas
+        everyone = range(n_replicas)
+        last_t = 0.0
+        total = 0.0
+        rate_on = rate is not None
+        tokens = float(admission.burst) if admission is not None else 0.0
+        burst = tokens
+        last_refill = 0.0
+        picks: list[int] = []
+        for t, code, deadline in zip(
+            arrivals.tolist(), codes.tolist(), deadlines.tolist()
+        ):
+            dt = t - last_t
+            if dt > 0.0:
+                # drain and sum in one left-to-right pass; skipping
+                # zero terms is exact (x + 0.0 == x for x >= +0.0)
+                total = 0.0
+                for r in everyone:
+                    drained = backlog[r] - dt * capacity[r]
+                    if drained > 0.0:
+                        backlog[r] = drained
+                        total += drained
+                    else:
+                        backlog[r] = 0.0
+                last_t = t
+            else:
+                total = 0.0
+                for b in backlog:
+                    total += b
+            degrade = False
+            if admission is not None:
+                if rate_on:
+                    # same value as min(burst, tokens + dt * rate)
+                    tokens = tokens + (t - last_refill) * rate
+                    if tokens > burst:
+                        tokens = burst
+                    last_refill = t
+                if (queue_limit is not None and total >= queue_limit) or (
+                    rate_on and tokens < 1.0
+                ):
+                    picks.append(-1)
+                    continue
+                if rate_on:
+                    tokens -= 1.0
+                degrade = (
+                    degrade_limit is not None and total >= degrade_limit
+                )
+            pick = -1
+            for group in zero_groups if degrade else groups_by_code[code]:
+                for r in group:
+                    b = backlog[r]
+                    if b / capacity[r] <= deadline and (
+                        pick < 0 or b < best
+                    ):
+                        pick = r
+                        best = b
+                if pick >= 0:
+                    break
+            if pick < 0:
+                for r in by_accuracy:
+                    if backlog[r] / capacity[r] <= deadline:
+                        pick = r
+                        break
+            if pick < 0:
+                pick = 0
+                best = backlog[0] / capacity[0]
+                for r in range(1, n_replicas):
+                    wait = backlog[r] / capacity[r]
+                    if wait < best:
+                        best = wait
+                        pick = r
             backlog[pick] += 1.0
             picks.append(pick)
         return np.asarray(picks, dtype=np.int64)

@@ -17,6 +17,7 @@ reference ``_RoutingState`` with a tight tolerance.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from repro.serving import (
 )
 from repro.serving import reference
 from repro.serving.events import EventQueue
-from repro.serving.router import _total_backlog
+from repro.serving.reference import _total_backlog
 
 TM = caffenet_time_model()
 AM = caffenet_accuracy_model()
@@ -454,6 +455,164 @@ class TestAdaptiveDecisionEquivalence:
             router.route(arrivals, floors, deadlines),
             reference.route(router, arrivals, floors, deadlines),
         )
+
+    def _assert_matches_reference(self, router, arrivals, floors, deadlines):
+        columnar = router.route(arrivals, floors, deadlines)
+        assert np.array_equal(
+            columnar,
+            reference.route(router, arrivals, floors, deadlines),
+        )
+        return columnar
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_hourly_rate_bit_identical(self, seed):
+        """Every replica at one rate (the flash-crowd shape): each
+        decision is a timely backlog tie-break inside one group."""
+        rng = random.Random(9100 + seed)
+        replicas = [
+            dataclasses.replace(r, hourly_rate=1.0)
+            for r in _replicas(rng, rng.choice([3, 5, 9]))
+        ]
+        router = FleetRouter(
+            TM,
+            AM,
+            replicas,
+            routing="adaptive",
+            admission=AdmissionPolicy(queue_limit=60.0, degrade_limit=20.0),
+        )
+        arrivals = poisson_arrivals(
+            1.2 * sum(router.capacities), 1.0, seed=seed
+        )
+        drng = np.random.default_rng(seed)
+        floors = drng.choice([0.0, 75.0], size=arrivals.size)
+        deadlines = drng.choice([0.02, 0.2], size=arrivals.size)
+        picks = self._assert_matches_reference(
+            router, arrivals, floors, deadlines
+        )
+        assert len(set(picks.tolist()) - {-1}) > 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_continuous_deadlines_and_floors_bit_identical(self, seed):
+        """Per-request deadlines and floors drawn from continuous
+        ranges: one candidate table per distinct floor, none per
+        deadline."""
+        rng = random.Random(9200 + seed)
+        replicas = _replicas(rng, rng.choice([3, 4, 9]))
+        router = FleetRouter(
+            TM,
+            AM,
+            replicas,
+            routing="adaptive",
+            admission=rng.choice(
+                [None, AdmissionPolicy(queue_limit=80.0, degrade_limit=30.0)]
+            ),
+        )
+        arrivals = poisson_arrivals(
+            1.1 * sum(router.capacities), 1.0, seed=seed
+        )
+        drng = np.random.default_rng(seed)
+        floors = drng.uniform(55.0, 85.0, size=arrivals.size)
+        deadlines = drng.uniform(0.0, 0.3, size=arrivals.size)
+        assert np.unique(floors).size == arrivals.size
+        self._assert_matches_reference(router, arrivals, floors, deadlines)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unreachable_floors_take_the_fallback_ladder(self, seed):
+        """Floors above every replica's Top-5: each arrival falls to
+        the most accurate timely replica, or to the smallest wait."""
+        rng = random.Random(9300 + seed)
+        replicas = _replicas(rng, rng.choice([2, 3, 9]))
+        router = FleetRouter(TM, AM, replicas, routing="adaptive")
+        arrivals = poisson_arrivals(
+            1.5 * sum(router.capacities), 1.0, seed=seed
+        )
+        floors = np.full(arrivals.size, 101.0)
+        deadlines = np.random.default_rng(seed).choice(
+            [0.0, 0.01, 0.1, np.inf], size=arrivals.size
+        )
+        picks = self._assert_matches_reference(
+            router, arrivals, floors, deadlines
+        )
+        # both rungs ran: the most accurate replica and some other
+        assert router._best in picks and len(set(picks.tolist())) > 1
+
+    def test_wait_equal_to_deadline_is_timely(self):
+        """At unit capacity ``backlog / capacity`` is the backlog
+        itself, so a wait landing exactly on the deadline is reached
+        and must count as timely (``<=``, not ``<``)."""
+        replicas = [
+            ReplicaSpec(
+                name,
+                _config("p2.xlarge"),
+                spec,
+                BatchPolicy(8),
+                hourly_rate=rate,
+            )
+            for name, spec, rate in (
+                ("cheap", SWEET, 1.0),
+                ("gold", PruneSpec.unpruned(), 2.5),
+            )
+        ]
+        router = _UnitCapacityRouter(TM, AM, replicas, routing="adaptive")
+        arrivals = np.array([0.0, 0.0, 0.0, 0.5])
+        floors = np.zeros(4)
+        # "cheap" waits 1.0 for the second arrival and 1.5 for the last
+        deadlines = np.array([1.0, 1.0, 1.0, 1.5])
+        picks = self._assert_matches_reference(
+            router, arrivals, floors, deadlines
+        )
+        assert picks.tolist() == [0, 0, 1, 0]
+
+    def test_min_wait_ties_go_to_the_first_replica(self):
+        """The last rung, with both waits equal: ``np.argmin``'s first
+        minimum, i.e. declaration order."""
+        replicas = [
+            ReplicaSpec(
+                name,
+                _config("p2.xlarge"),
+                spec,
+                BatchPolicy(8),
+                hourly_rate=rate,
+            )
+            for name, spec, rate in (
+                ("cheap", SWEET, 1.0),
+                ("gold", PruneSpec.unpruned(), 2.5),
+            )
+        ]
+        router = _UnitCapacityRouter(TM, AM, replicas, routing="adaptive")
+        arrivals = np.zeros(3)
+        # an unreachable floor sends the second arrival to "gold", so
+        # the third finds both backlogs at 1.0, past its deadline
+        floors = np.array([0.0, 101.0, 0.0])
+        deadlines = np.array([np.inf, np.inf, 0.5])
+        picks = self._assert_matches_reference(
+            router, arrivals, floors, deadlines
+        )
+        assert picks.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simultaneous_bursts_under_degrade_limit(self, seed):
+        """Bursts of equal timestamps (``dt == 0``): the backlog is not
+        drained, yet the depth limits still read its full sum."""
+        rng = random.Random(9400 + seed)
+        replicas = _replicas(rng, rng.choice([3, 4, 9]))
+        router = FleetRouter(
+            TM,
+            AM,
+            replicas,
+            routing="adaptive",
+            admission=AdmissionPolicy(
+                queue_limit=rng.choice([None, 60.0]), degrade_limit=15.0
+            ),
+        )
+        starts = poisson_arrivals(
+            0.3 * sum(router.capacities), 1.0, seed=seed
+        )
+        arrivals = np.repeat(starts, 5)
+        drng = np.random.default_rng(seed)
+        floors = drng.choice([0.0, 75.0, 82.0], size=arrivals.size)
+        deadlines = drng.choice([0.05, 0.5], size=arrivals.size)
+        self._assert_matches_reference(router, arrivals, floors, deadlines)
 
     def test_degrade_limit_with_tiered_bit_identical(self):
         """The admission-level degradation rung is policy-agnostic;

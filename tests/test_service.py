@@ -10,13 +10,15 @@ cost exactly one evaluation (1 miss, N-1 hits).
 from __future__ import annotations
 
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import ApiError, PlanRequest, PlanningClient, clear_api_caches
 from repro.obs import MetricsRegistry, Tracer, scoped_observability
-from repro.service import PlanningServer, PlanningService
+from repro.service import PlanMixture, PlanningServer, PlanningService
+from repro.service.server import MAX_BODY_BYTES
 
 #: a tiny grid so service tests never pay for the full catalog
 SMALL = {"catalog": ("p2.16xlarge", "p2.8xlarge"), "instances_per_type": 2}
@@ -194,6 +196,90 @@ class TestHttpServer:
         server.start()
         server.close()
         server.close()
+
+
+def _raw_exchange(
+    server, head: str, body: bytes = b""
+) -> tuple[list[bytes], bytes]:
+    """Send raw bytes, keep the socket open, read until the server
+    closes; returns the status lines and the raw bytes received.  A
+    server that never answers or never closes fails on the socket
+    timeout."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=5.0
+    ) as sock:
+        sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return [
+        line
+        for line in data.split(b"\r\n")
+        if line.startswith(b"HTTP/1.1 ")
+    ], data
+
+
+class TestHostileContentLength:
+    """``Content-Length`` comes from the client: a malformed one is
+    answered 400 and an oversized one 413, each without reading the
+    body, and the connection closes so no body byte is parsed as the
+    next request."""
+
+    @staticmethod
+    def _post(length: str) -> str:
+        return (
+            "POST /v1/plan HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n"
+        )
+
+    def test_negative_length_answered_promptly(self):
+        with PlanningServer(port=0) as server:
+            # the client keeps its socket open: reading to EOF would
+            # pin the worker until the timeout below fails the test
+            statuses, data = _raw_exchange(server, self._post("-1"), b"{}")
+        assert statuses == [b"HTTP/1.1 400 Bad Request"]
+        assert b'"invalid_request"' in data
+
+    def test_non_numeric_length_does_not_smuggle_a_request(self):
+        smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with PlanningServer(port=0) as server:
+            statuses, data = _raw_exchange(
+                server, self._post("12abc"), smuggled
+            )
+        assert statuses == [b"HTTP/1.1 400 Bad Request"]
+        assert b'"invalid_request"' in data
+
+    def test_oversized_body_rejected_unread(self):
+        with PlanningServer(port=0) as server:
+            statuses, data = _raw_exchange(
+                server, self._post(str(MAX_BODY_BYTES + 1))
+            )
+        assert statuses == [b"HTTP/1.1 413 Request Entity Too Large"]
+        assert b'"invalid_request"' in data
+
+    def test_overlong_digit_string_rejected(self):
+        # past the interpreter's int() digit limit
+        with PlanningServer(port=0) as server:
+            statuses, _ = _raw_exchange(server, self._post("9" * 5000))
+        assert statuses == [b"HTTP/1.1 413 Request Entity Too Large"]
+
+    def test_body_at_the_cap_is_read(self):
+        with PlanningServer(port=0) as server:
+            statuses, data = _raw_exchange(
+                server,
+                self._post(str(MAX_BODY_BYTES)) + "Connection: close\r\n",
+                b" " * MAX_BODY_BYTES,
+            )
+        assert statuses == [b"HTTP/1.1 400 Bad Request"]
+        assert b"not valid JSON" in data
+
+    def test_cap_exceeds_every_loadgen_body(self):
+        largest = max(
+            len(json.dumps(r.to_dict(), sort_keys=True).encode("utf-8"))
+            for r in PlanMixture(seed=0).requests(200)
+        )
+        # ample headroom: a two-design fleet evaluation is ~5x a plan
+        assert 1000 * largest < MAX_BODY_BYTES
 
 
 class TestObservabilityRoutes:
