@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -45,6 +46,8 @@ if TYPE_CHECKING:
 __all__ = [
     "API_SCHEMA",
     "ERROR_STATUS",
+    "MAX_FLEET_REQUESTS",
+    "MAX_PLAN_GRID_POINTS",
     "ApiError",
     "FleetDesign",
     "FleetReplica",
@@ -74,6 +77,16 @@ ERROR_STATUS: dict[str, int] = {
 
 _KNOWN_MODELS = ("caffenet", "googlenet")
 _KNOWN_METRICS = ("top1", "top5")
+
+#: work budget of one plan request, in evaluation-grid points
+#: (configurations x degrees of pruning).  It admits the paper's own
+#: space: up to 3 instances of each of the 6 catalog types over
+#: caffenet's 60 degrees, 245,700 points (the default 2 per type is
+#: 43,680).
+MAX_PLAN_GRID_POINTS = 250_000
+#: work budget of one fleet request, in simulated requests
+#: (rate x duration x designs)
+MAX_FLEET_REQUESTS = 1_000_000
 
 
 class ApiError(ReproError):
@@ -203,6 +216,23 @@ def _from_json_float(value: object) -> float:
 # ----------------------------------------------------------------------
 # planning
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=256)
+def _plan_grid_points(
+    model: str, n_types: int | None, instances_per_type: int
+) -> int:
+    """Evaluation-grid points of a plan over ``n_types`` catalog types
+    (``None``: the full catalog), as the handlers enumerate them."""
+    from repro.api.handlers import _plan_degrees
+    from repro.cloud.catalog import EC2_CATALOG
+    from repro.core.config_space import configuration_space_size
+
+    if n_types is None:
+        n_types = len(EC2_CATALOG)
+    return configuration_space_size(n_types, instances_per_type) * len(
+        _plan_degrees(model)
+    )
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """One inverse planning query over the evaluation grid.
@@ -274,6 +304,19 @@ class PlanRequest:
                 raise ApiError(
                     "invalid_request", "catalog must not be empty"
                 )
+        points = _plan_grid_points(
+            self.model,
+            None if self.catalog is None else len(self.catalog),
+            self.instances_per_type,
+        )
+        if points > MAX_PLAN_GRID_POINTS:
+            raise ApiError(
+                "invalid_request",
+                f"plan grid of {points:,} points is over the "
+                f"{MAX_PLAN_GRID_POINTS:,}-point budget of one request; "
+                f"lower instances_per_type or narrow the catalog",
+                http_status=413,
+            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -703,10 +746,19 @@ class FleetRequest:
             raise ApiError(
                 "invalid_request", "fleet request needs >= 1 design"
             )
-        if self.rate_per_s <= 0 or self.duration_s <= 0:
+        if not (self.rate_per_s > 0 and self.duration_s > 0):
             raise ApiError(
                 "invalid_request",
                 "workload rate and duration must be positive",
+            )
+        simulated = self.rate_per_s * self.duration_s * len(self.designs)
+        if simulated > MAX_FLEET_REQUESTS:
+            raise ApiError(
+                "invalid_request",
+                f"{simulated:,.0f} simulated requests (rate x duration x "
+                f"designs) is over the {MAX_FLEET_REQUESTS:,}-request "
+                f"budget of one request",
+                http_status=413,
             )
 
     def workload(self) -> "FleetWorkload":

@@ -716,10 +716,9 @@ def record_report_gauges(
 ) -> None:
     """Register a run's goodput accounting as registry gauges.
 
-    Works on any report exposing ``availability`` / ``goodput`` /
-    ``drop_rate`` (both :class:`~repro.serving.simulator.ServingReport`
-    and :class:`~repro.serving.autoscaler.AutoscaleReport`); gauges the
-    report doesn't define (e.g. ``utilisation`` on autoscale runs) are
+    Works on any :class:`~repro.serving.metrics.RunStats` report
+    (``availability`` / ``goodput`` / ``drop_rate``); gauges the report
+    doesn't define (e.g. ``utilisation`` on autoscale runs) are
     skipped.  Every exporter then sees the same aggregates the render
     paths print — no ad-hoc recomputation.
     """

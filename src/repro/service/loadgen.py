@@ -61,6 +61,7 @@ from repro.serving.arrivals import (
     poisson_arrivals,
     uniform_arrivals,
 )
+from repro.serving.metrics import LatencyStats
 
 __all__ = [
     "DriftVerdict",
@@ -274,12 +275,13 @@ class HttpTarget:
 # the report
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class LoadReport:
+class LoadReport(LatencyStats):
     """What one load run measured.
 
     Latencies are completion minus *scheduled* arrival, in seconds —
     open-loop, so a saturated control plane shows up as queueing delay
-    rather than reduced throughput.
+    rather than reduced throughput.  The percentiles come from
+    :class:`~repro.serving.metrics.LatencyStats`.
     """
 
     requests: int
@@ -322,27 +324,6 @@ class LoadReport:
         """Evaluation-cache hits over total probes during the run."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile in seconds."""
-        if self.latencies_s.size == 0:
-            return float("nan")
-        return float(np.percentile(self.latencies_s, q))
-
-    @property
-    def p50(self) -> float:
-        """Median latency (s)."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95(self) -> float:
-        """95th-percentile latency (s)."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile latency (s)."""
-        return self.latency_percentile(99)
 
     def summary(self) -> dict:
         """JSON-ready headline numbers."""

@@ -22,7 +22,8 @@ of the cost-accuracy axes.
   control over N heterogeneous replicas (see docs/serving.md);
 * :mod:`repro.serving.fleet`    — declarative ``FleetSpec`` with the
   content-keyed evaluation cache behind the fleet planner query;
-* :mod:`repro.serving.metrics`  — post-hoc views incl. availability;
+* :mod:`repro.serving.metrics`  — the statistics every run report
+  shares (``LatencyStats``/``RunStats``) and post-hoc views;
 * :mod:`repro.serving.reference` — the per-event serving and routing
   loops the columnar engines replay bit for bit (the test oracle; not
   exported here).

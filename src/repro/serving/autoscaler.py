@@ -40,12 +40,10 @@ from repro.perf.latency import CalibratedTimeModel
 from repro.pruning.base import PruneSpec
 from repro.serving.batcher import BatchPolicy, PendingQueue
 from repro.serving.events import EventQueue
+from repro.serving.metrics import RunStats
+from repro.serving.simulator import _DROPPED, _SERVED
 
 __all__ = ["AutoscalePolicy", "AutoscaleReport", "AutoscalingSimulator"]
-
-# request lifecycle states (shared convention with ServingSimulator)
-_PENDING, _SERVED, _DROPPED = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
@@ -90,12 +88,13 @@ class AutoscalePolicy:
 
 
 @dataclass(frozen=True)
-class AutoscaleReport:
+class AutoscaleReport(RunStats):
     """Outcome of an autoscaled serving run.
 
     ``latencies_s`` holds served requests only; under faults some
     requests may be dropped (retry budget exhausted, timed out, or no
-    capacity left when the run ended).
+    capacity left when the run ended).  Latency and goodput statistics
+    come from :class:`~repro.serving.metrics.RunStats`.
     """
 
     requests: int
@@ -108,45 +107,6 @@ class AutoscaleReport:
     retries: int = 0
     dropped: int = 0
     preempted: int = 0
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile in seconds (q in [0, 100])."""
-        if self.latencies_s.size == 0:
-            return float("nan")
-        return float(np.percentile(self.latencies_s, q))
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile served latency in seconds."""
-        return self.latency_percentile(99)
-
-    @property
-    def served(self) -> int:
-        """Requests that completed (offered minus dropped)."""
-        return self.requests - self.dropped
-
-    @property
-    def availability(self) -> float:
-        """Served fraction of the offered requests."""
-        return self.served / self.requests
-
-    @property
-    def drop_rate(self) -> float:
-        """Dropped fraction of the offered requests."""
-        return self.dropped / self.requests
-
-    @property
-    def goodput(self) -> float:
-        """Served requests per second of simulated wall time."""
-        if self.duration_s == 0:
-            return 0.0
-        return self.served / self.duration_s
-
-    def miss_rate(self, slo_s: float) -> float:
-        """Fraction of served requests over the latency SLO."""
-        if self.latencies_s.size == 0:
-            return 0.0
-        return float((self.latencies_s > slo_s).mean())
 
 
 class _Instance:

@@ -1,5 +1,9 @@
 """Post-hoc analysis of serving runs.
 
+Every run report (serving, autoscale, fleet, load) takes its shared
+statistics from the field-less bases :class:`LatencyStats` (over the
+served latencies) and :class:`RunStats` (over the request counts).
+
 :class:`ServingReport` carries raw latencies; operators want views:
 per-second throughput series, a latency histogram, and the SLO-headroom
 summary.  These are pure functions over the report, used by the CLI's
@@ -8,17 +12,102 @@ summary.  These are pure functions over the report, used by the CLI's
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.serving.simulator import ServingReport
+if TYPE_CHECKING:
+    from repro.serving.simulator import ServingReport
 
 __all__ = [
+    "LatencyStats",
+    "RunStats",
     "throughput_series",
     "latency_histogram",
     "render_histogram",
     "slo_headroom",
     "availability_summary",
 ]
+
+
+class LatencyStats:
+    """Latency statistics over a report's ``latencies_s`` (seconds,
+    served requests only).
+
+    With nothing served the percentiles and the mean are ``nan`` and the
+    miss rate is ``0.0``.
+    """
+
+    latencies_s: np.ndarray
+
+    def latency_percentile(self, q: float) -> float:
+        """Latency percentile in seconds (q in [0, 100])."""
+        latencies = self.latencies_s
+        if latencies.size == 0:
+            return float("nan")
+        return float(np.percentile(latencies, q))
+
+    @property
+    def p50(self) -> float:
+        """Median served latency in seconds."""
+        return self.latency_percentile(50)
+
+    @property
+    def p95(self) -> float:
+        """95th-percentile served latency in seconds."""
+        return self.latency_percentile(95)
+
+    @property
+    def p99(self) -> float:
+        """99th-percentile served latency in seconds."""
+        return self.latency_percentile(99)
+
+    @property
+    def mean_latency(self) -> float:
+        """Mean served latency in seconds."""
+        latencies = self.latencies_s
+        if latencies.size == 0:
+            return float("nan")
+        return float(latencies.mean())
+
+    def miss_rate(self, slo_s: float) -> float:
+        """Fraction of *served* requests exceeding a latency SLO."""
+        latencies = self.latencies_s
+        if latencies.size == 0:
+            return 0.0
+        return float((latencies > slo_s).mean())
+
+
+class RunStats(LatencyStats):
+    """Goodput accounting over a run's ``requests`` (offered),
+    ``dropped`` and ``duration_s``.
+
+    Every ratio is ``0.0`` on a zero denominator.
+    """
+
+    requests: int
+    dropped: int
+    duration_s: float
+
+    @property
+    def served(self) -> int:
+        """Requests that completed (offered minus dropped)."""
+        return self.requests - self.dropped
+
+    @property
+    def availability(self) -> float:
+        """Fraction of offered requests that were served."""
+        return self.served / self.requests if self.requests else 0.0
+
+    @property
+    def drop_rate(self) -> float:
+        """Fraction of offered requests that were dropped."""
+        return self.dropped / self.requests if self.requests else 0.0
+
+    @property
+    def goodput(self) -> float:
+        """Served requests per second of simulated time."""
+        return self.served / self.duration_s if self.duration_s else 0.0
 
 
 def throughput_series(
@@ -69,7 +158,7 @@ def render_histogram(
             f"{count}"
         )
     lines.append(
-        f"p50 {report.p50:.3f}s   p95 {report.latency_percentile(95):.3f}s"
+        f"p50 {report.p50:.3f}s   p95 {report.p95:.3f}s"
         f"   p99 {report.p99:.3f}s"
     )
     return "\n".join(lines)

@@ -63,6 +63,7 @@ from repro.perf.latency import CalibratedTimeModel
 from repro.pruning.base import PruneSpec
 from repro.serving.autoscaler import AutoscalePolicy, AutoscalingSimulator
 from repro.serving.batcher import BatchPolicy
+from repro.serving.metrics import RunStats
 from repro.serving.simulator import ServingSimulator
 
 __all__ = [
@@ -415,12 +416,16 @@ class ReplicaOutcome:
 
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(RunStats):
     """Outcome of one routed fleet run.
 
     Aggregates treat the *offered* stream (including admission sheds)
     as the denominator, so availability composes admission control and
     per-replica drops the way an external client would measure it.
+    The shared statistics come from
+    :class:`~repro.serving.metrics.RunStats`; its ``served``
+    (offered minus sheds and replica drops) equals the replicas' summed
+    served counts, because every admitted request goes to one replica.
     """
 
     offered: int
@@ -448,29 +453,9 @@ class FleetReport:
         return self.offered - self.shed
 
     @property
-    def served(self) -> int:
-        """Requests completed by any replica."""
-        return sum(o.served for o in self.outcomes)
-
-    @property
     def dropped(self) -> int:
         """Requests lost anywhere: admission sheds + replica drops."""
         return self.shed + sum(o.dropped for o in self.outcomes)
-
-    @property
-    def availability(self) -> float:
-        """Served fraction of the *offered* stream."""
-        return self.served / self.offered if self.offered else 0.0
-
-    @property
-    def drop_rate(self) -> float:
-        """Lost fraction of the offered stream (1 - availability)."""
-        return self.dropped / self.offered if self.offered else 0.0
-
-    @property
-    def goodput(self) -> float:
-        """Served requests per second of fleet wall time."""
-        return self.served / self.duration_s if self.duration_s else 0.0
 
     @property
     def degraded(self) -> int:
@@ -526,24 +511,6 @@ class FleetReport:
             return np.empty(0)
         return np.concatenate(parts)
 
-    def latency_percentile(self, q: float) -> float:
-        """Fleet-wide latency percentile in seconds (``nan`` if none
-        were served)."""
-        latencies = self.latencies_s
-        if latencies.size == 0:
-            return float("nan")
-        return float(np.percentile(latencies, q))
-
-    @property
-    def p50(self) -> float:
-        """Fleet-wide median latency."""
-        return self.latency_percentile(50)
-
-    @property
-    def p99(self) -> float:
-        """Fleet-wide 99th-percentile latency."""
-        return self.latency_percentile(99)
-
     @property
     def utilisation(self) -> float:
         """Busy fraction over the static replicas' worker-seconds
@@ -556,13 +523,6 @@ class FleetReport:
             busy += report.busy_s
             denominator += report.worker_count * report.duration_s
         return busy / denominator if denominator else 0.0
-
-    def miss_rate(self, slo_s: float) -> float:
-        """Fraction of served requests exceeding a latency SLO."""
-        latencies = self.latencies_s
-        if latencies.size == 0:
-            return 0.0
-        return float((latencies > slo_s).mean())
 
     def burn_rates(self, slo) -> dict[str, float]:
         """Whole-run SLO burn rates against a

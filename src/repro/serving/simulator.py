@@ -31,21 +31,23 @@ from repro.perf.latency import CalibratedTimeModel
 from repro.pruning.base import PruneSpec
 from repro.serving.batcher import BatchPolicy
 from repro.serving.columnar import columnar_run
+from repro.serving.metrics import RunStats
 
 __all__ = ["ServingSimulator", "ServingReport"]
 
-# request lifecycle states
-_PENDING, _SERVED, _DROPPED = 0, 1, 2
+# terminal request states (a request's status is 0 while pending)
+_SERVED, _DROPPED = 1, 2
 
 
 @dataclass(frozen=True)
-class ServingReport:
+class ServingReport(RunStats):
     """Outcome of one serving simulation.
 
     ``latencies_s`` holds served requests only (request-id order); under
     a fault plan some requests may instead be dropped — by preemption
     beyond their retry budget, by the queueing timeout, or because the
-    run ended with no capacity left to serve them.
+    run ended with no capacity left to serve them.  Latency and goodput
+    statistics come from :class:`~repro.serving.metrics.RunStats`.
     """
 
     requests: int
@@ -60,41 +62,12 @@ class ServingReport:
     dropped: int = 0
     preempted: int = 0
 
-    # ------------------------------------------------------------------
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile in seconds (q in [0, 100])."""
-        if self.latencies_s.size == 0:
-            return float("nan")
-        return float(np.percentile(self.latencies_s, q))
-
-    @property
-    def p50(self) -> float:
-        """Median served latency in seconds."""
-        return self.latency_percentile(50)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile served latency in seconds."""
-        return self.latency_percentile(99)
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean served latency in seconds (NaN when none served)."""
-        if self.latencies_s.size == 0:
-            return float("nan")
-        return float(self.latencies_s.mean())
-
     @property
     def mean_batch(self) -> float:
         """Mean dispatched batch width."""
         if self.batch_sizes.size == 0:
             return 0.0
         return float(self.batch_sizes.mean())
-
-    @property
-    def served(self) -> int:
-        """Requests that completed (arrived minus dropped)."""
-        return self.requests - self.dropped
 
     @property
     def throughput(self) -> float:
@@ -105,34 +78,11 @@ class ServingReport:
         return self.requests / self.duration_s
 
     @property
-    def goodput(self) -> float:
-        """Successfully served requests per second of simulated time."""
-        if self.duration_s == 0:
-            return 0.0
-        return self.served / self.duration_s
-
-    @property
-    def availability(self) -> float:
-        """Fraction of offered requests that were served."""
-        return self.served / self.requests
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of offered requests that were dropped."""
-        return self.dropped / self.requests
-
-    @property
     def utilisation(self) -> float:
         """Busy fraction across all workers over the run."""
         if self.duration_s == 0:
             return 0.0
         return self.busy_s / (self.worker_count * self.duration_s)
-
-    def miss_rate(self, slo_s: float) -> float:
-        """Fraction of *served* requests exceeding a latency SLO."""
-        if self.latencies_s.size == 0:
-            return 0.0
-        return float((self.latencies_s > slo_s).mean())
 
 
 class ServingSimulator:

@@ -25,6 +25,7 @@ from repro.api import (
     PlanResponse,
 )
 from repro.cli import main
+from repro.obs import MetricsRegistry, scoped_observability
 from repro.errors import (
     ConfigurationError,
     InfeasibleError,
@@ -303,6 +304,72 @@ class TestFleetRequest:
         with pytest.raises(ApiError) as exc:
             api.cheapest_fleets(request)
         assert exc.value.code == "infeasible"
+
+
+class TestWorkBudget:
+    """A small body must not ask for unbounded work: over-budget plan
+    grids and fleet simulations are rejected 413 on decode, before any
+    evaluation."""
+
+    @staticmethod
+    def _fleet_body(rate_per_s: float, duration_s: float, designs: int):
+        design = FleetDesign(replicas=(FleetReplica("p2.xlarge"),))
+        return {
+            "designs": [
+                {**design.to_dict(), "name": f"d{i}"} for i in range(designs)
+            ],
+            "rate_per_s": rate_per_s,
+            "duration_s": duration_s,
+        }
+
+    def test_over_budget_requests_never_reach_the_caches(self):
+        registry = MetricsRegistry()
+        with scoped_observability(metrics=registry):
+            with pytest.raises(ApiError) as plan_exc:
+                api.plan(
+                    PlanRequest.from_dict(
+                        {"target": 78.0, "instances_per_type": 10}
+                    )
+                )
+            with pytest.raises(ApiError) as fleet_exc:
+                api.evaluate_fleets(
+                    FleetRequest.from_dict(self._fleet_body(1e4, 1e3, 1))
+                )
+        for exc in (plan_exc, fleet_exc):
+            assert exc.value.code == "invalid_request"
+            assert exc.value.http_status == 413
+        assert "106,293,600 points" in str(plan_exc.value)
+        counters = registry.snapshot().get("counters", {})
+        assert not [
+            name
+            for name in counters
+            if name.startswith(("evalspace.", "fleet."))
+        ]
+
+    def test_budget_counts_the_catalog_and_the_designs(self):
+        # two types allow a far deeper grid than the full catalog
+        narrow = {"target": 78.0, "catalog": ("p2.xlarge", "p2.8xlarge")}
+        PlanRequest(**narrow, instances_per_type=40)
+        with pytest.raises(ApiError):
+            PlanRequest(**narrow, instances_per_type=70)
+        FleetRequest.from_dict(self._fleet_body(1000.0, 500.0, 2))
+        with pytest.raises(ApiError):
+            FleetRequest.from_dict(self._fleet_body(1000.0, 500.0, 3))
+
+    def test_budget_clears_the_defaults_and_the_paper_space(self):
+        assert PlanRequest(target=78.0).instances_per_type == 2
+        # the paper's space: 3 of each of the 6 types, 245,700 points
+        PlanRequest(target=78.0, instances_per_type=3)
+        PlanRequest(target=78.0, model="googlenet", instances_per_type=3)
+        with pytest.raises(ApiError):
+            PlanRequest(target=78.0, instances_per_type=4)
+        FleetRequest.from_dict(self._fleet_body(200.0, 60.0, 2))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, rate):
+        with pytest.raises(ApiError) as exc:
+            FleetRequest.from_dict(self._fleet_body(rate, 10.0, 1))
+        assert exc.value.code == "invalid_request"
 
 
 class TestGoodputAccuracyFrontier:

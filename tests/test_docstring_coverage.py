@@ -12,8 +12,12 @@ sys.path.insert(0, str(ROOT / "tools"))
 from check_docstrings import check_file, check_paths, main  # noqa: E402
 
 #: the layers whose public API the docs handbook documents — CI runs
-#: the same gate (see .github/workflows/ci.yml, docs job)
-GATED = (ROOT / "src/repro/serving", ROOT / "src/repro/core")
+#: the same gate over the same directories (see
+#: .github/workflows/ci.yml, docs job)
+GATED = tuple(
+    ROOT / "src/repro" / layer
+    for layer in ("serving", "core", "api", "service")
+)
 
 
 class TestGatedLayers:
@@ -24,6 +28,15 @@ class TestGatedLayers:
     def test_cli_entry_point(self, capsys):
         assert main([str(p) for p in GATED]) == 0
         assert "100%" in capsys.readouterr().out
+
+    def test_ci_gates_the_same_layers(self):
+        workflow = (ROOT / ".github/workflows/ci.yml").read_text()
+        command = workflow.split("python tools/check_docstrings.py", 1)[1]
+        command = command.split("\n\n", 1)[0].split("PYTHONPATH", 1)[0]
+        gated_in_ci = [
+            ROOT / word for word in command.split() if word != "\\"
+        ]
+        assert gated_in_ci == list(GATED)
 
     def test_missing_path_is_a_usage_error(self):
         assert main(["no/such/dir"]) == 2

@@ -537,6 +537,26 @@ class TestFaultsAndIdle:
         for outcome in report.outcomes:
             assert outcome.report.preempted == 1
 
+    def test_served_is_the_replicas_sum_under_sheds_and_drops(self):
+        # FleetReport.served is offered minus (sheds + replica drops);
+        # it must equal what the replicas report having served
+        plan = FaultPlan(
+            preemptions=(Preemption(0, 1.0, None),),
+            retry_budget=1,
+        )
+        router = FleetRouter(
+            TM,
+            AM,
+            [_replica("a", faults=plan), _replica("b")],
+            routing="round-robin",
+            admission=AdmissionPolicy(rate_per_s=30.0, burst=10),
+        )
+        report = router.run(poisson_arrivals(60.0, 10.0, seed=4))
+        assert report.shed > 0
+        assert sum(o.dropped for o in report.outcomes) > 0
+        assert report.served == sum(o.served for o in report.outcomes)
+        assert report.served + report.dropped == report.offered
+
     def test_idle_replica_is_billed_for_the_makespan(self):
         # all traffic is floor-free: tiered routing starves the gold
         # replica, which must still pay for the fleet's wall time

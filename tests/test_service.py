@@ -9,6 +9,7 @@ cost exactly one evaluation (1 miss, N-1 hits).
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 from concurrent.futures import ThreadPoolExecutor
@@ -280,6 +281,27 @@ class TestHostileContentLength:
         )
         # ample headroom: a two-design fleet evaluation is ~5x a plan
         assert 1000 * largest < MAX_BODY_BYTES
+
+
+class TestWorkBudget:
+    """A body far under the byte cap can still ask for a grid too large
+    to evaluate; the server answers 413 from the decoded request."""
+
+    def test_over_budget_grid_is_413(self):
+        body = b'{"target": 78, "instances_per_type": 10}'
+        with PlanningServer(port=0) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=5.0
+            )
+            try:
+                connection.request("POST", "/v1/plan", body)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+        assert response.status == 413
+        assert payload["error"]["code"] == "invalid_request"
+        assert "points is over the" in payload["error"]["message"]
 
 
 class TestObservabilityRoutes:

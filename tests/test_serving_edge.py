@@ -1,6 +1,7 @@
 """Edge cases of the serving simulator the happy-path tests skip:
 degenerate batch policies, burst arrivals on a single worker, the
-error paths, and the zero-duration report guard."""
+error paths, and the zero-duration and nothing-served guards of every
+run report."""
 
 from __future__ import annotations
 
@@ -13,7 +14,11 @@ from repro.cloud import CloudInstance, ResourceConfiguration, instance_type
 from repro.errors import ConfigurationError
 from repro.pruning import PruneSpec
 from repro.serving import BatchPolicy, ServingSimulator
+from repro.service.loadgen import LoadReport
+from repro.serving.autoscaler import AutoscaleReport
 from repro.serving.batcher import PendingQueue
+from repro.serving.metrics import LatencyStats, RunStats
+from repro.serving.router import FleetReport, ReplicaOutcome, ReplicaSpec
 from repro.serving.simulator import ServingReport
 
 
@@ -170,9 +175,72 @@ def _zero_duration_report() -> ServingReport:
     )
 
 
+def _report(cls, latencies_s: np.ndarray, duration_s: float = 0.0):
+    """A one-request report of ``cls`` that served ``latencies_s``
+    (one or none) in ``duration_s``."""
+    dropped = 1 - latencies_s.size
+    if cls is ServingReport:
+        return ServingReport(
+            requests=1,
+            duration_s=duration_s,
+            latencies_s=latencies_s,
+            batch_sizes=np.ones(latencies_s.size, dtype=int),
+            busy_s=0.0,
+            worker_count=1,
+            cost=0.0,
+            accuracy=AccuracyPair(top1=60.0, top5=80.0),
+            dropped=dropped,
+        )
+    if cls is AutoscaleReport:
+        return AutoscaleReport(
+            requests=1,
+            duration_s=duration_s,
+            latencies_s=latencies_s,
+            cost=0.0,
+            fleet_timeline=((0.0, 1),),
+            peak_instances=1,
+            mean_instances=1.0,
+            dropped=dropped,
+        )
+    if cls is FleetReport:
+        configuration = ResourceConfiguration(
+            [CloudInstance(instance_type("p2.xlarge"))]
+        )
+        replica = ReplicaSpec(
+            "a", configuration, PruneSpec.unpruned(), BatchPolicy(max_batch=1)
+        )
+        return FleetReport(
+            offered=1,
+            shed=0,
+            duration_s=duration_s,
+            routing="round-robin",
+            outcomes=(
+                ReplicaOutcome(
+                    replica,
+                    assigned=1,
+                    report=_report(ServingReport, latencies_s, duration_s),
+                    cost=0.0,
+                ),
+            ),
+        )
+    return LoadReport(
+        requests=1,
+        wall_s=duration_s,
+        latencies_s=latencies_s,
+        status_counts={},
+        cache_hits=0,
+        cache_misses=0,
+    )
+
+
+RUN_REPORTS = (ServingReport, AutoscaleReport, FleetReport)
+
+
 class TestZeroDurationReport:
     """Regression: a single arrival at t=0 with instant service used to
-    divide by duration == 0 in ``utilisation``."""
+    divide by duration == 0 in ``utilisation``.  The statistics every
+    report shares (``LatencyStats``/``RunStats``) keep the same guards on
+    each report class."""
 
     def test_utilisation_guarded(self):
         assert _zero_duration_report().utilisation == 0.0
@@ -182,19 +250,33 @@ class TestZeroDurationReport:
         assert report.throughput == 0.0
         assert report.goodput == 0.0
 
-    def test_empty_latency_stats_are_nan_not_crash(self):
-        report = ServingReport(
-            requests=1,
-            duration_s=1.0,
-            latencies_s=np.array([]),
-            batch_sizes=np.array([]),
-            busy_s=0.0,
-            worker_count=1,
-            cost=0.0,
-            accuracy=AccuracyPair(top1=60.0, top5=80.0),
-            dropped=1,
-        )
-        assert np.isnan(report.p50)
+    @pytest.mark.parametrize(
+        "cls", (*RUN_REPORTS, LoadReport), ids=lambda cls: cls.__name__
+    )
+    def test_empty_latency_stats_are_nan_not_crash(self, cls):
+        report = _report(cls, np.array([]), duration_s=1.0)
+        assert isinstance(report, LatencyStats)
+        for value in (report.p50, report.p95, report.p99):
+            assert np.isnan(value)
         assert np.isnan(report.mean_latency)
-        assert report.mean_batch == 0.0
         assert report.miss_rate(1.0) == 0.0
+
+    @pytest.mark.parametrize("cls", RUN_REPORTS, ids=lambda cls: cls.__name__)
+    def test_zero_duration_goodput_guarded(self, cls):
+        report = _report(cls, np.array([0.0]))
+        assert isinstance(report, RunStats)
+        assert report.served == 1
+        assert report.availability == 1.0
+        assert report.drop_rate == 0.0
+        assert report.goodput == 0.0
+
+    @pytest.mark.parametrize("cls", RUN_REPORTS, ids=lambda cls: cls.__name__)
+    def test_nothing_served(self, cls):
+        report = _report(cls, np.array([]), duration_s=1.0)
+        assert report.served == 0
+        assert report.availability == 0.0
+        assert report.drop_rate == 1.0
+        assert report.goodput == 0.0
+
+    def test_empty_batches_mean_zero(self):
+        assert _report(ServingReport, np.array([])).mean_batch == 0.0
