@@ -264,21 +264,20 @@ def _bind_design(design: FleetDesign, index: int, model: str):
 
 
 def _evaluate_request(request: FleetRequest):
-    """Bind and evaluate every design; returns (names, specs, reports)."""
+    """Bind every design, then evaluate each; returns (names, specs,
+    reports).  A bad name or design fails before any simulation runs."""
     workload = request.workload()
-    names, specs, reports = [], [], []
-    try:
-        for index, design in enumerate(request.designs):
-            spec = _bind_design(design, index, request.model)
-            names.append(design.label(index))
-            specs.append(spec)
-            reports.append(fleet_report(spec, workload))
-    except ReproError as exc:
-        raise ApiError.from_exception(exc) from exc
+    designs = tuple(enumerate(request.designs))
+    names = [design.label(index) for index, design in designs]
     if len(set(names)) != len(names):
         raise ApiError(
             "invalid_request", f"design names must be unique, got {names}"
         )
+    try:
+        specs = [_bind_design(d, i, request.model) for i, d in designs]
+        reports = [fleet_report(spec, workload) for spec in specs]
+    except ReproError as exc:
+        raise ApiError.from_exception(exc) from exc
     return names, specs, reports
 
 

@@ -17,6 +17,14 @@ generator — speaks these types.  They are deliberately boring:
   code and a canonical HTTP status, mapped from the library exception
   hierarchy by :meth:`ApiError.from_exception`.
 
+Each request and response class declares its wire format once, as a
+table of :class:`_Field` rows in emission order (JSON kind, bounds,
+choices, how ``None`` travels).  One codec reads the tables: it
+decodes (``from_dict``), validates (every constructor, keyword or
+wire) and encodes (``to_dict``), so the library and the wire share one
+check path, and the docs field reference and the test fuzzer are
+derived from the same rows.
+
 The schema string ``repro.api/v1`` stamps every serialised payload;
 compatible extensions add optional fields, incompatible ones bump the
 version.
@@ -25,9 +33,12 @@ version.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+import numbers
+import re
+import reprlib
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -46,6 +57,7 @@ if TYPE_CHECKING:
 __all__ = [
     "API_SCHEMA",
     "ERROR_STATUS",
+    "MAX_FLEET_INSTANCES",
     "MAX_FLEET_REQUESTS",
     "MAX_PLAN_GRID_POINTS",
     "ApiError",
@@ -87,6 +99,11 @@ MAX_PLAN_GRID_POINTS = 250_000
 #: work budget of one fleet request, in simulated requests
 #: (rate x duration x designs)
 MAX_FLEET_REQUESTS = 1_000_000
+#: work budget of one fleet request, in simulated instances (replica
+#: counts summed over every design), since binding and simulating a
+#: fleet takes time linear in its instances.  It admits seven designs
+#: of the paper's largest configuration (3 of each of the 6 types).
+MAX_FLEET_INSTANCES = 128
 
 
 class ApiError(ReproError):
@@ -160,57 +177,329 @@ class ApiError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# shared (de)serialisation helpers
+# the wire schema: one field table per class, one codec
 # ----------------------------------------------------------------------
-def _require_mapping(payload: object, what: str) -> Mapping:
+#: JSON kinds of a field; a wire class (its own table) is a kind too
+STRING, INTEGER, NUMBER = "string", "integer", "number"
+#: a JSON array of the field's ``item`` kind (a tuple in Python)
+LIST = "list"
+#: a ``{name: number}`` object (a name-sorted tuple of pairs in Python)
+RATIOS = "{string: number}"
+#: a ``[[number, number], ...]`` array (a tuple of float pairs)
+PAIRS = "[[number, number]]"
+
+_WANT = {
+    NUMBER: "a finite number",
+    INTEGER: "an integer",
+    STRING: "a string",
+}
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One JSON field of a wire class, with every rule it obeys.
+
+    ``bounds`` is an interval such as ``"(0, 100]"`` holding each
+    number of the field (for :data:`RATIOS` and :data:`PAIRS`, each
+    pair's value).  A field with ``choices`` must be one of them, else
+    the request fails with ``code``.  ``null`` says what ``None`` is
+    on the wire: ``"emit"`` a JSON null, ``"omit"`` the key, or
+    ``"nan"``: a null that stands for a NaN float.  ``emit_if`` names
+    a field without whose value this one is not emitted.  ``required``
+    and ``optional`` (``None`` allowed) follow the dataclass defaults.
+    """
+
+    name: str
+    kind: object
+    bounds: str | None = None
+    item: object = None
+    choices: tuple = ()
+    code: str = "invalid_request"
+    null: str = "emit"
+    emit_if: str | None = None
+    required: bool = False
+    optional: bool = False
+
+    @property
+    def json_type(self) -> str:
+        """The field's JSON type, as the field reference prints it."""
+        kind = self.item if self.kind == LIST else self.kind
+        name = kind if isinstance(kind, str) else kind.__name__
+        return f"[{name}]" if self.kind == LIST else name
+
+    @cached_property
+    def interval(self) -> tuple[float, bool, float, bool]:
+        """:attr:`bounds` parsed: ``(lo, lo_open, hi, hi_open)``."""
+        lo, hi = (
+            float(end.replace("∞", "inf"))
+            for end in self.bounds[1:-1].split(",")
+        )
+        return lo, self.bounds[0] == "(", hi, self.bounds[-1] == ")"
+
+    @cached_property
+    def from_json(self):
+        """How a JSON value becomes a constructor argument: nested
+        objects are decoded (``None``: it is passed as it is)."""
+        if self.kind == LIST and isinstance(self.item, type):
+            return self._decode_list
+        if isinstance(self.kind, type):
+            return partial(_decode, self.kind)
+        return None
+
+    def _decode_list(self, items: object) -> tuple:
+        if not isinstance(items, list):
+            raise _kind_error(self, items)
+        return tuple(_decode(self.item, v) for v in items)
+
+    @cached_property
+    def to_json(self):
+        """How a non-null value becomes JSON data (``None``: as it is)."""
+        if self.null == "nan":
+            return lambda v: v if math.isfinite(v) else None
+        if self.kind == RATIOS:
+            return dict
+        if self.kind == PAIRS:
+            return lambda pairs: [list(p) for p in pairs]
+        if self.kind == LIST and isinstance(self.item, type):
+            return lambda items: [_encode(v) for v in items]
+        if self.kind == LIST:
+            return list
+        return _encode if isinstance(self.kind, type) else None
+
+    def within(self, x: float) -> bool:
+        """Whether the number ``x`` lies inside :attr:`bounds`."""
+        lo, lo_open, hi, hi_open = self.interval
+        return (lo < x if lo_open else lo <= x) and (
+            x < hi if hi_open else x <= hi
+        )
+
+
+def _wire(*table: _Field, body: bool = False, strict: bool = True):
+    """Make the decorated class a frozen dataclass speaking ``table``.
+
+    ``body`` classes are whole JSON bodies, stamped with (and checked
+    against) :data:`API_SCHEMA`.  ``strict`` classes (the requests)
+    reject unknown keys; responses ignore them, so an older client
+    reads a newer server.
+    """
+
+    def bind(cls):
+        if "__post_init__" not in vars(cls):
+            cls.__post_init__ = _check
+        cls = dataclass(frozen=True)(cls)
+        defaults = {f.name: f.default for f in fields(cls)}
+        cls._WIRE = tuple(
+            replace(
+                f,
+                required=defaults[f.name] is MISSING and f.null != "nan",
+                optional=defaults[f.name] is None,
+            )
+            for f in table
+        )
+        cls._KEYS = frozenset(f.name for f in table) | {"schema"}
+        cls._BODY, cls._STRICT = body, strict
+        cls._WHAT = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+        # bound per class rather than inherited, so a tracer can wrap
+        # one class's entry point (perfbench wraps PlanRequest.from_dict)
+        cls.to_dict = _encode
+        cls.from_dict = classmethod(_decode)
+        return cls
+
+    return bind
+
+
+def _finite(value: object) -> float | None:
+    """``value`` as a finite float; ``None`` if it is no such number."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return None
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+    return value if math.isfinite(value) else None
+
+
+def _pair(kind: str, pair: object) -> tuple | None:
+    """One ``(key, float)`` pair of a RATIOS or PAIRS field, or ``None``."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        return None
+    key, value = pair
+    if kind == RATIOS:
+        key = key if isinstance(key, str) else None
+    else:
+        key = _finite(key)
+    value = _finite(value)
+    return None if key is None or value is None else (key, value)
+
+
+def _as_number(f: _Field, value: object) -> float:
+    number = _finite(value)
+    if number is not None:
+        return number
+    if f.null == "nan" and isinstance(value, float) and value != value:
+        return value
+    raise _kind_error(f, value)
+
+
+def _as_integer(f: _Field, value: object) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise _kind_error(f, value)
+
+
+def _as_string(f: _Field, value: object) -> str:
+    if isinstance(value, str):
+        return value
+    raise _kind_error(f, value)
+
+
+def _as_list(f: _Field, value: object) -> tuple:
+    item = str if f.item == STRING else f.item
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(v, item) for v in value
+    ):
+        return tuple(value)
+    raise _kind_error(f, value)
+
+
+def _as_pairs(f: _Field, value: object) -> tuple:
+    if f.kind == RATIOS and isinstance(value, Mapping):
+        value = tuple(value.items())
+    if isinstance(value, (list, tuple)):
+        pairs = tuple(_pair(f.kind, p) for p in value)
+        if None not in pairs:
+            return tuple(sorted(pairs)) if f.kind == RATIOS else pairs
+    raise _kind_error(f, value)
+
+
+def _as_wire(f: _Field, value: object) -> object:
+    if isinstance(value, f.kind):
+        return value
+    raise _kind_error(f, value)
+
+
+#: check one of each kind: the canonical Python form of a non-null value
+_AS = {
+    NUMBER: _as_number,
+    INTEGER: _as_integer,
+    STRING: _as_string,
+    LIST: _as_list,
+    RATIOS: _as_pairs,
+    PAIRS: _as_pairs,
+}
+
+
+def _kind_error(f: _Field, value: object) -> ApiError:
+    want = _WANT.get(f.kind, f"of JSON type {f.json_type}")
+    return ApiError(
+        "invalid_request",
+        f"{f.name} must be {want}, got {reprlib.repr(value)}",
+    )
+
+
+def _typed(f: _Field, value: object) -> object:
+    """Check one: ``value`` in the field's canonical Python form, or an
+    error naming the field when its JSON type is wrong."""
+    if f.choices:
+        return value  # the membership test settles the type too
+    if value is not None:
+        return _AS.get(f.kind, _as_wire)(f, value)
+    if f.null == "nan":
+        return math.nan
+    if f.optional:
+        return None
+    raise _kind_error(f, value)
+
+
+def _in_range(f: _Field, value: object) -> None:
+    """Check two: ``value`` is one of the choices and inside the bounds."""
+    if f.choices:
+        if value not in f.choices:
+            raise ApiError(
+                f.code,
+                f"{f.name} must be one of {list(f.choices)}, "
+                f"got {reprlib.repr(value)}",
+            )
+    elif f.bounds is not None and value is not None:
+        values = (
+            (v for _, v in value) if f.kind in (RATIOS, PAIRS) else (value,)
+        )
+        for v in values:
+            if not f.within(v):
+                raise ApiError(
+                    "invalid_request",
+                    f"{f.name} must be in {f.bounds}, got {reprlib.repr(v)}",
+                )
+
+
+def _check(self) -> None:
+    """Validate and canonicalise every wire field (the constructor
+    check of every wire class): all JSON types first, then choices and
+    bounds, each in table order."""
+    for f in self._WIRE:
+        value = getattr(self, f.name)
+        typed = _typed(f, value)
+        if typed is not value:
+            object.__setattr__(self, f.name, typed)
+    for f in self._WIRE:
+        if f.choices or f.bounds is not None:
+            _in_range(f, getattr(self, f.name))
+
+
+def _decode(cls, payload: object):
+    """Validate a decoded JSON value and build the class from it."""
+    what = cls._WHAT
     if not isinstance(payload, Mapping):
         raise ApiError(
             "invalid_request",
             f"{what} must be a JSON object, got {type(payload).__name__}",
         )
-    return payload
-
-
-def _check_schema(payload: Mapping, what: str) -> None:
     schema = payload.get("schema")
-    if schema is not None and schema != API_SCHEMA:
+    if cls._BODY and schema is not None and schema != API_SCHEMA:
         raise ApiError(
             "invalid_request",
-            f"{what} carries schema {schema!r}; this server speaks "
-            f"{API_SCHEMA}",
+            f"{what} carries schema {reprlib.repr(schema)}; this server "
+            f"speaks {API_SCHEMA}",
         )
-
-
-def _reject_unknown_keys(
-    payload: Mapping, allowed: Sequence[str], what: str
-) -> None:
-    unknown = sorted(set(payload) - {*allowed, "schema"})
-    if unknown:
+    if cls._STRICT and not cls._KEYS.issuperset(payload):
         raise ApiError(
             "invalid_request",
-            f"{what} has unknown fields {unknown}; "
-            f"allowed: {sorted(allowed)}",
+            f"{what} has unknown fields "
+            f"{reprlib.repr(sorted(set(payload) - cls._KEYS))}; "
+            f"allowed: {sorted(f.name for f in cls._WIRE)}",
         )
+    kwargs = {}
+    for f in cls._WIRE:
+        if f.name in payload:
+            value = payload[f.name]
+            if f.from_json is not None:
+                value = f.from_json(value)
+            kwargs[f.name] = value
+        elif f.required:
+            raise ApiError(
+                "invalid_request", f"{what} needs a {f.name!r} field"
+            )
+        elif f.null == "nan":
+            kwargs[f.name] = None
+    return cls(**kwargs)
 
 
-def _number(value: object, what: str, *, optional: bool = False):
-    if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ApiError(
-            "invalid_request",
-            f"{what} must be a number, got {value!r}",
-        )
-    return float(value)
-
-
-def _json_float(value: float) -> float | None:
-    """JSON has no NaN/inf; non-finite floats serialise as ``null``."""
-    return float(value) if math.isfinite(value) else None
-
-
-def _from_json_float(value: object) -> float:
-    return float("nan") if value is None else float(value)
+def _encode(self) -> dict:
+    """The JSON form of this object (a whole body carries ``schema``)."""
+    out: dict = {"schema": API_SCHEMA} if self._BODY else {}
+    for f in self._WIRE:
+        value = getattr(self, f.name)
+        if value is None:
+            if f.null == "omit":
+                continue
+        elif f.to_json is not None:
+            value = f.to_json(value)
+        if f.emit_if is None or getattr(self, f.emit_if) is not None:
+            out[f.name] = value
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +522,17 @@ def _plan_grid_points(
     )
 
 
-@dataclass(frozen=True)
+@_wire(
+    _Field("model", STRING, choices=_KNOWN_MODELS, code="unknown_model"),
+    _Field("target", NUMBER, "(0, 100]"),
+    _Field("metric", STRING, choices=_KNOWN_METRICS),
+    _Field("deadline_h", NUMBER, "(0, ∞)"),
+    _Field("budget", NUMBER, "(0, ∞)"),
+    _Field("images", INTEGER, "[1, 1e15]"),
+    _Field("instances_per_type", INTEGER, "[1, ∞)"),
+    _Field("catalog", LIST, item=STRING, null="omit"),
+    body=True,
+)
 class PlanRequest:
     """One inverse planning query over the evaluation grid.
 
@@ -255,55 +554,9 @@ class PlanRequest:
     catalog: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in _KNOWN_MODELS:
-            raise ApiError(
-                "unknown_model",
-                f"unknown model {self.model!r}; "
-                f"available: {list(_KNOWN_MODELS)}",
-            )
-        if self.metric not in _KNOWN_METRICS:
-            raise ApiError(
-                "invalid_request",
-                f"metric must be one of {list(_KNOWN_METRICS)}, "
-                f"got {self.metric!r}",
-            )
-        if not isinstance(self.target, (int, float)) or isinstance(
-            self.target, bool
-        ):
-            raise ApiError(
-                "invalid_request",
-                f"target must be a number, got {self.target!r}",
-            )
-        if not 0.0 < float(self.target) <= 100.0:
-            raise ApiError(
-                "invalid_request",
-                f"target accuracy must be in (0, 100], got {self.target}",
-            )
-        for name in ("deadline_h", "budget"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ApiError(
-                    "invalid_request",
-                    f"{name} must be positive, got {value}",
-                )
-        if self.images < 1:
-            raise ApiError(
-                "invalid_request", f"images must be >= 1, got {self.images}"
-            )
-        if self.instances_per_type < 1:
-            raise ApiError(
-                "invalid_request",
-                f"instances_per_type must be >= 1, "
-                f"got {self.instances_per_type}",
-            )
-        if self.catalog is not None:
-            object.__setattr__(
-                self, "catalog", tuple(str(n) for n in self.catalog)
-            )
-            if not self.catalog:
-                raise ApiError(
-                    "invalid_request", "catalog must not be empty"
-                )
+        _check(self)
+        if self.catalog == ():
+            raise ApiError("invalid_request", "catalog must not be empty")
         points = _plan_grid_points(
             self.model,
             None if self.catalog is None else len(self.catalog),
@@ -318,76 +571,11 @@ class PlanRequest:
                 http_status=413,
             )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """The JSON body of this request."""
-        out: dict = {
-            "schema": API_SCHEMA,
-            "model": self.model,
-            "target": self.target,
-            "metric": self.metric,
-            "deadline_h": self.deadline_h,
-            "budget": self.budget,
-            "images": self.images,
-            "instances_per_type": self.instances_per_type,
-        }
-        if self.catalog is not None:
-            out["catalog"] = list(self.catalog)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "PlanRequest":
-        """Validate and build from a decoded JSON body."""
-        payload = _require_mapping(payload, "plan request")
-        _check_schema(payload, "plan request")
-        _reject_unknown_keys(
-            payload,
-            [f.name for f in fields(cls)],
-            "plan request",
-        )
-        if "target" not in payload:
-            raise ApiError(
-                "invalid_request", "plan request needs a 'target' field"
-            )
-        catalog = payload.get("catalog")
-        if catalog is not None:
-            if not isinstance(catalog, Sequence) or isinstance(
-                catalog, (str, bytes)
-            ):
-                raise ApiError(
-                    "invalid_request",
-                    "catalog must be a list of instance-type names",
-                )
-            catalog = tuple(str(n) for n in catalog)
-        images = payload.get("images", 20_000_000)
-        ipt = payload.get("instances_per_type", 2)
-        if isinstance(images, bool) or not isinstance(images, int):
-            raise ApiError(
-                "invalid_request", f"images must be an integer, got {images!r}"
-            )
-        if isinstance(ipt, bool) or not isinstance(ipt, int):
-            raise ApiError(
-                "invalid_request",
-                f"instances_per_type must be an integer, got {ipt!r}",
-            )
-        return cls(
-            target=_number(payload["target"], "target"),
-            model=str(payload.get("model", "caffenet")),
-            metric=str(payload.get("metric", "top5")),
-            deadline_h=_number(
-                payload.get("deadline_h"), "deadline_h", optional=True
-            ),
-            budget=_number(payload.get("budget"), "budget", optional=True),
-            images=images,
-            instances_per_type=ipt,
-            catalog=catalog,
-        )
-
     def cache_key(self) -> tuple:
         """Content identity (used by tests and memoising callers)."""
         return (
             self.model,
-            float(self.target),
+            self.target,
             self.metric,
             self.deadline_h,
             self.budget,
@@ -397,7 +585,15 @@ class PlanRequest:
         )
 
 
-@dataclass(frozen=True)
+@_wire(
+    _Field("spec", STRING),
+    _Field("configuration", STRING),
+    _Field("time_s", NUMBER),
+    _Field("cost", NUMBER),
+    _Field("top1", NUMBER),
+    _Field("top5", NUMBER),
+    strict=False,
+)
 class PlanPoint:
     """One grid point a planning answer names (a plain-data view)."""
 
@@ -414,10 +610,10 @@ class PlanPoint:
         return cls(
             spec=result.spec.label(),
             configuration=result.configuration.label(),
-            time_s=float(result.time_s),
-            cost=float(result.cost),
-            top1=float(result.accuracy.top1),
-            top5=float(result.accuracy.top5),
+            time_s=result.time_s,
+            cost=result.cost,
+            top1=result.accuracy.top1,
+            top5=result.accuracy.top5,
         )
 
     @property
@@ -425,32 +621,14 @@ class PlanPoint:
         """Completion time in hours."""
         return self.time_s / 3600.0
 
-    def to_dict(self) -> dict:
-        """The JSON form of this point."""
-        return {
-            "spec": self.spec,
-            "configuration": self.configuration,
-            "time_s": self.time_s,
-            "cost": self.cost,
-            "top1": self.top1,
-            "top5": self.top5,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "PlanPoint":
-        """Rebuild a point from its JSON form."""
-        payload = _require_mapping(payload, "plan point")
-        return cls(
-            spec=str(payload["spec"]),
-            configuration=str(payload["configuration"]),
-            time_s=float(payload["time_s"]),
-            cost=float(payload["cost"]),
-            top1=float(payload["top1"]),
-            top5=float(payload["top5"]),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("kind", STRING, choices=("min_budget", "min_deadline", "frontier")),
+    _Field("request", PlanRequest),
+    _Field("points", LIST, item=PlanPoint),
+    body=True,
+    strict=False,
+)
 class PlanResponse:
     """The answer to one :class:`PlanRequest`.
 
@@ -507,33 +685,17 @@ class PlanResponse:
             )
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        """The JSON body of this response."""
-        return {
-            "schema": API_SCHEMA,
-            "kind": self.kind,
-            "request": self.request.to_dict(),
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "PlanResponse":
-        """Rebuild a response from its JSON body (client side)."""
-        payload = _require_mapping(payload, "plan response")
-        _check_schema(payload, "plan response")
-        return cls(
-            kind=str(payload["kind"]),
-            request=PlanRequest.from_dict(payload["request"]),
-            points=tuple(
-                PlanPoint.from_dict(p) for p in payload["points"]
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # fleets
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@_wire(
+    _Field("instance_type", STRING),
+    _Field("count", INTEGER, "[1, ∞)"),
+    _Field("spec", RATIOS, "[0, 1)"),
+    _Field("name", STRING, null="omit"),
+    _Field("weight", NUMBER, "(0, ∞)", null="omit"),
+)
 class FleetReplica:
     """One replica of a declarative fleet design (JSON-able).
 
@@ -547,80 +709,22 @@ class FleetReplica:
     name: str | None = None
     weight: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ApiError(
-                "invalid_request",
-                f"replica count must be >= 1, got {self.count}",
-            )
-        if isinstance(self.spec, Mapping):
-            object.__setattr__(
-                self,
-                "spec",
-                tuple(sorted((str(k), float(v)) for k, v in self.spec.items())),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "spec",
-                tuple(sorted((str(k), float(v)) for k, v in self.spec)),
-            )
 
-    def to_dict(self) -> dict:
-        """The JSON form of this replica."""
-        out: dict = {
-            "instance_type": self.instance_type,
-            "count": self.count,
-            "spec": {k: v for k, v in self.spec},
-        }
-        if self.name is not None:
-            out["name"] = self.name
-        if self.weight is not None:
-            out["weight"] = self.weight
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetReplica":
-        """Validate and build from a decoded JSON object."""
-        payload = _require_mapping(payload, "fleet replica")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet replica"
-        )
-        if "instance_type" not in payload:
-            raise ApiError(
-                "invalid_request",
-                "fleet replica needs an 'instance_type' field",
-            )
-        spec = payload.get("spec", ())
-        if not isinstance(spec, (Mapping, Sequence)) or isinstance(
-            spec, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "replica spec must be a {layer: ratio} object",
-            )
-        count = payload.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ApiError(
-                "invalid_request",
-                f"replica count must be an integer, got {count!r}",
-            )
-        return cls(
-            instance_type=str(payload["instance_type"]),
-            count=count,
-            spec=spec if isinstance(spec, Mapping) else tuple(spec),
-            name=(
-                None
-                if payload.get("name") is None
-                else str(payload["name"])
-            ),
-            weight=_number(
-                payload.get("weight"), "replica weight", optional=True
-            ),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("replicas", LIST, item=FleetReplica),
+    _Field("routing", STRING),
+    _Field("max_batch", INTEGER, "[1, ∞)"),
+    _Field("max_wait_s", NUMBER, "[0, 1e6]"),
+    _Field("name", STRING, null="omit"),
+    _Field("admission_rate_per_s", NUMBER, "[0, ∞)", null="omit"),
+    _Field(
+        "admission_burst",
+        INTEGER,
+        "(-∞, 1e15]",
+        emit_if="admission_rate_per_s",
+    ),
+    _Field("queue_limit", NUMBER, "[0, ∞)", null="omit"),
+)
 class FleetDesign:
     """A whole candidate fleet: replicas + routing + admission.
 
@@ -639,7 +743,7 @@ class FleetDesign:
     max_wait_s: float = 0.05
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "replicas", tuple(self.replicas))
+        _check(self)
         if not self.replicas:
             raise ApiError(
                 "invalid_request", "fleet design needs >= 1 replica"
@@ -649,67 +753,19 @@ class FleetDesign:
         """This design's display name (``fleet-<n>`` when unnamed)."""
         return self.name if self.name is not None else f"fleet-{index + 1}"
 
-    def to_dict(self) -> dict:
-        """The JSON form of this design."""
-        out: dict = {
-            "replicas": [r.to_dict() for r in self.replicas],
-            "routing": self.routing,
-            "max_batch": self.max_batch,
-            "max_wait_s": self.max_wait_s,
-        }
-        if self.name is not None:
-            out["name"] = self.name
-        if self.admission_rate_per_s is not None:
-            out["admission_rate_per_s"] = self.admission_rate_per_s
-            out["admission_burst"] = self.admission_burst
-        if self.queue_limit is not None:
-            out["queue_limit"] = self.queue_limit
-        return out
 
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetDesign":
-        """Validate and build from a decoded JSON object."""
-        payload = _require_mapping(payload, "fleet design")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet design"
-        )
-        replicas = payload.get("replicas")
-        if not isinstance(replicas, Sequence) or isinstance(
-            replicas, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "fleet design needs a 'replicas' list",
-            )
-        burst = payload.get("admission_burst", 32)
-        if isinstance(burst, bool) or not isinstance(burst, int):
-            raise ApiError(
-                "invalid_request",
-                f"admission_burst must be an integer, got {burst!r}",
-            )
-        return cls(
-            replicas=tuple(FleetReplica.from_dict(r) for r in replicas),
-            name=(
-                None
-                if payload.get("name") is None
-                else str(payload["name"])
-            ),
-            routing=str(payload.get("routing", "round-robin")),
-            admission_rate_per_s=_number(
-                payload.get("admission_rate_per_s"),
-                "admission_rate_per_s",
-                optional=True,
-            ),
-            admission_burst=burst,
-            queue_limit=_number(
-                payload.get("queue_limit"), "queue_limit", optional=True
-            ),
-            max_batch=int(payload.get("max_batch", 32)),
-            max_wait_s=float(payload.get("max_wait_s", 0.05)),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("model", STRING, choices=_KNOWN_MODELS, code="unknown_model"),
+    _Field("designs", LIST, item=FleetDesign),
+    _Field("rate_per_s", NUMBER, "(0, ∞)"),
+    _Field("duration_s", NUMBER, "(0, 1e6]"),
+    _Field("arrival", STRING),
+    _Field("seed", INTEGER, "[0, ∞)"),
+    _Field("floors", PAIRS, "[0, 1]"),
+    _Field("availability", NUMBER),
+    _Field("p99_s", NUMBER),
+    body=True,
+)
 class FleetRequest:
     """Evaluate (or pick the cheapest of) candidate fleet designs.
 
@@ -730,26 +786,10 @@ class FleetRequest:
     p99_s: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "designs", tuple(self.designs))
-        object.__setattr__(
-            self,
-            "floors",
-            tuple((float(f), float(w)) for f, w in self.floors),
-        )
-        if self.model not in _KNOWN_MODELS:
-            raise ApiError(
-                "unknown_model",
-                f"unknown model {self.model!r}; "
-                f"available: {list(_KNOWN_MODELS)}",
-            )
+        _check(self)
         if not self.designs:
             raise ApiError(
                 "invalid_request", "fleet request needs >= 1 design"
-            )
-        if not (self.rate_per_s > 0 and self.duration_s > 0):
-            raise ApiError(
-                "invalid_request",
-                "workload rate and duration must be positive",
             )
         simulated = self.rate_per_s * self.duration_s * len(self.designs)
         if simulated > MAX_FLEET_REQUESTS:
@@ -757,6 +797,15 @@ class FleetRequest:
                 "invalid_request",
                 f"{simulated:,.0f} simulated requests (rate x duration x "
                 f"designs) is over the {MAX_FLEET_REQUESTS:,}-request "
+                f"budget of one request",
+                http_status=413,
+            )
+        instances = sum(r.count for d in self.designs for r in d.replicas)
+        if instances > MAX_FLEET_INSTANCES:
+            raise ApiError(
+                "invalid_request",
+                f"{instances:,} instances (replica counts over every "
+                f"design) is over the {MAX_FLEET_INSTANCES:,}-instance "
                 f"budget of one request",
                 http_status=413,
             )
@@ -776,80 +825,16 @@ class FleetRequest:
         except ReproError as exc:
             raise ApiError.from_exception(exc) from exc
 
-    def to_dict(self) -> dict:
-        """The JSON body of this request."""
-        return {
-            "schema": API_SCHEMA,
-            "model": self.model,
-            "designs": [d.to_dict() for d in self.designs],
-            "rate_per_s": self.rate_per_s,
-            "duration_s": self.duration_s,
-            "arrival": self.arrival,
-            "seed": self.seed,
-            "floors": [list(f) for f in self.floors],
-            "availability": self.availability,
-            "p99_s": self.p99_s,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetRequest":
-        """Validate and build from a decoded JSON body."""
-        payload = _require_mapping(payload, "fleet request")
-        _check_schema(payload, "fleet request")
-        _reject_unknown_keys(
-            payload, [f.name for f in fields(cls)], "fleet request"
-        )
-        designs = payload.get("designs")
-        if not isinstance(designs, Sequence) or isinstance(
-            designs, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request", "fleet request needs a 'designs' list"
-            )
-        for name in ("rate_per_s", "duration_s"):
-            if name not in payload:
-                raise ApiError(
-                    "invalid_request",
-                    f"fleet request needs a {name!r} field",
-                )
-        floors = payload.get("floors", ())
-        if not isinstance(floors, Sequence) or isinstance(
-            floors, (str, bytes)
-        ):
-            raise ApiError(
-                "invalid_request",
-                "floors must be a list of [floor, fraction] pairs",
-            )
-        seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ApiError(
-                "invalid_request", f"seed must be an integer, got {seed!r}"
-            )
-        try:
-            floor_pairs = tuple(
-                (float(f), float(w)) for f, w in floors
-            )
-        except (TypeError, ValueError):
-            raise ApiError(
-                "invalid_request",
-                "floors must be a list of [floor, fraction] pairs",
-            ) from None
-        return cls(
-            designs=tuple(FleetDesign.from_dict(d) for d in designs),
-            rate_per_s=_number(payload["rate_per_s"], "rate_per_s"),
-            duration_s=_number(payload["duration_s"], "duration_s"),
-            model=str(payload.get("model", "caffenet")),
-            arrival=str(payload.get("arrival", "poisson")),
-            seed=seed,
-            floors=floor_pairs,
-            availability=_number(
-                payload.get("availability", 0.999), "availability"
-            ),
-            p99_s=_number(payload.get("p99_s"), "p99_s", optional=True),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("name", STRING),
+    _Field("served", INTEGER),
+    _Field("dropped", INTEGER),
+    _Field("cost", NUMBER),
+    _Field("p99_s", NUMBER, null="nan"),
+    _Field("top5", NUMBER),
+    strict=False,
+)
 class ReplicaView:
     """One replica's slice of a fleet evaluation (plain data)."""
 
@@ -860,31 +845,22 @@ class ReplicaView:
     p99_s: float
     top5: float
 
-    def to_dict(self) -> dict:
-        """The JSON form of this view."""
-        return {
-            "name": self.name,
-            "served": self.served,
-            "dropped": self.dropped,
-            "cost": self.cost,
-            "p99_s": _json_float(self.p99_s),
-            "top5": self.top5,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ReplicaView":
-        """Rebuild a view from its JSON form."""
-        return cls(
-            name=str(payload["name"]),
-            served=int(payload["served"]),
-            dropped=int(payload["dropped"]),
-            cost=float(payload["cost"]),
-            p99_s=_from_json_float(payload.get("p99_s")),
-            top5=float(payload["top5"]),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("name", STRING),
+    _Field("offered", INTEGER),
+    _Field("shed", INTEGER),
+    _Field("served", INTEGER),
+    _Field("dropped", INTEGER),
+    _Field("availability", NUMBER),
+    _Field("goodput", NUMBER),
+    _Field("cost", NUMBER),
+    _Field("hourly_rate", NUMBER),
+    _Field("p50_s", NUMBER, null="nan"),
+    _Field("p99_s", NUMBER, null="nan"),
+    _Field("replicas", LIST, item=ReplicaView),
+    strict=False,
+)
 class FleetView:
     """One design's fleet-wide outcome (plain data)."""
 
@@ -912,16 +888,16 @@ class FleetView:
             p99 = (
                 outcome.report.latency_percentile(99)
                 if outcome.report is not None
-                else float("nan")
+                else math.nan
             )
             replicas.append(
                 ReplicaView(
                     name=outcome.spec.name,
                     served=outcome.served,
                     dropped=outcome.dropped,
-                    cost=float(outcome.cost),
-                    p99_s=float(p99),
-                    top5=float(accuracy.top5),
+                    cost=outcome.cost,
+                    p99_s=p99,
+                    top5=accuracy.top5,
                 )
             )
         return cls(
@@ -930,55 +906,23 @@ class FleetView:
             shed=report.shed,
             served=report.served,
             dropped=report.dropped,
-            availability=float(report.availability),
-            goodput=float(report.goodput),
-            cost=float(report.cost),
-            hourly_rate=float(spec.hourly_rate),
-            p50_s=float(report.latency_percentile(50)),
-            p99_s=float(report.latency_percentile(99)),
+            availability=report.availability,
+            goodput=report.goodput,
+            cost=report.cost,
+            hourly_rate=spec.hourly_rate,
+            p50_s=report.latency_percentile(50),
+            p99_s=report.latency_percentile(99),
             replicas=tuple(replicas),
         )
 
-    def to_dict(self) -> dict:
-        """The JSON form of this view."""
-        return {
-            "name": self.name,
-            "offered": self.offered,
-            "shed": self.shed,
-            "served": self.served,
-            "dropped": self.dropped,
-            "availability": self.availability,
-            "goodput": self.goodput,
-            "cost": self.cost,
-            "hourly_rate": self.hourly_rate,
-            "p50_s": _json_float(self.p50_s),
-            "p99_s": _json_float(self.p99_s),
-            "replicas": [r.to_dict() for r in self.replicas],
-        }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "FleetView":
-        """Rebuild a view from its JSON form."""
-        payload = _require_mapping(payload, "fleet view")
-        return cls(
-            name=str(payload["name"]),
-            offered=int(payload["offered"]),
-            shed=int(payload["shed"]),
-            served=int(payload["served"]),
-            dropped=int(payload["dropped"]),
-            availability=float(payload["availability"]),
-            goodput=float(payload["goodput"]),
-            cost=float(payload["cost"]),
-            hourly_rate=float(payload["hourly_rate"]),
-            p50_s=_from_json_float(payload.get("p50_s")),
-            p99_s=_from_json_float(payload.get("p99_s")),
-            replicas=tuple(
-                ReplicaView.from_dict(r) for r in payload["replicas"]
-            ),
-        )
-
-
-@dataclass(frozen=True)
+@_wire(
+    _Field("kind", STRING, choices=("evaluate", "cheapest")),
+    _Field("views", LIST, item=FleetView),
+    _Field("chosen", STRING, null="omit"),
+    body=True,
+    strict=False,
+)
 class FleetResponse:
     """The answer to one :class:`FleetRequest`.
 
@@ -992,9 +936,7 @@ class FleetResponse:
     kind: str
     views: tuple[FleetView, ...]
     chosen: str | None = None
-    reports: tuple = field(
-        default=(), repr=False, compare=False
-    )
+    reports: tuple = field(default=(), repr=False, compare=False)
 
     def view(self, name: str) -> FleetView:
         """The view of the design named ``name``."""
@@ -1002,31 +944,3 @@ class FleetResponse:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        """The JSON body of this response (rich reports excluded)."""
-        out: dict = {
-            "schema": API_SCHEMA,
-            "kind": self.kind,
-            "views": [v.to_dict() for v in self.views],
-        }
-        if self.chosen is not None:
-            out["chosen"] = self.chosen
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "FleetResponse":
-        """Rebuild a response from its JSON body (client side)."""
-        payload = _require_mapping(payload, "fleet response")
-        _check_schema(payload, "fleet response")
-        return cls(
-            kind=str(payload["kind"]),
-            views=tuple(
-                FleetView.from_dict(v) for v in payload["views"]
-            ),
-            chosen=(
-                None
-                if payload.get("chosen") is None
-                else str(payload["chosen"])
-            ),
-        )

@@ -81,6 +81,16 @@ _OPENMETRICS = "text/plain; version=0.0.4; charset=utf-8"
 MAX_BODY_BYTES = 1 << 20
 
 
+def _non_finite(literal: str):
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``: the
+    stdlib parser accepts them, RFC 8259 JSON has no such numbers."""
+    raise ApiError(
+        "invalid_request",
+        f"request body holds the non-finite number {literal}; "
+        "JSON numbers are finite",
+    )
+
+
 class ServiceMonitor:
     """Windowed live telemetry + anomaly detection for one service.
 
@@ -343,7 +353,9 @@ class PlanningService:
         with self._admitted():
             get_metrics().counter("service.requests").inc()
             try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
+                payload = json.loads(
+                    body.decode("utf-8") or "{}", parse_constant=_non_finite
+                )
             except (UnicodeDecodeError, ValueError):
                 raise ApiError(
                     "invalid_request", "request body is not valid JSON"

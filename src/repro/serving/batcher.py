@@ -23,6 +23,7 @@ Two queue implementations share that policy:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -51,8 +52,8 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+        if not 0 <= self.max_wait_s < math.inf:
+            raise ValueError("max_wait_s must be finite and non-negative")
 
 
 @dataclass

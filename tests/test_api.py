@@ -24,6 +24,7 @@ from repro.api import (
     PlanRequest,
     PlanResponse,
 )
+from repro.api.types import MAX_FLEET_INSTANCES
 from repro.cli import main
 from repro.obs import MetricsRegistry, scoped_observability
 from repro.errors import (
@@ -364,6 +365,22 @@ class TestWorkBudget:
         with pytest.raises(ApiError):
             PlanRequest(target=78.0, instances_per_type=4)
         FleetRequest.from_dict(self._fleet_body(200.0, 60.0, 2))
+
+    def test_budget_counts_instances_over_every_design(self):
+        def body(count):
+            design = {"replicas": [{"instance_type": "p2.xlarge", "count": count}]}
+            return {
+                "designs": [{**design, "name": "a"}, {**design, "name": "b"}],
+                "rate_per_s": 10.0,
+                "duration_s": 5.0,
+            }
+
+        half = MAX_FLEET_INSTANCES // 2
+        FleetRequest.from_dict(body(half))
+        with pytest.raises(ApiError) as exc:
+            FleetRequest.from_dict(body(half + 1))
+        assert exc.value.http_status == 413
+        assert "instance" in str(exc.value)
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_rates_rejected(self, rate):

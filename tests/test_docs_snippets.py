@@ -13,6 +13,8 @@ Two guarantees, both cheap to state and expensive to let rot:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -107,3 +109,53 @@ class TestGrepGate:
         serving_md = (ROOT / "docs" / "serving.md").read_text()
         for name in ROUTING_POLICIES:
             assert f"`{name}`" in serving_md, name
+
+
+class TestFieldReference:
+    """docs/service.md lists every request field as the tables in
+    ``repro.api.types`` declare it: name, JSON type, bounds, default."""
+
+    @staticmethod
+    def _rows(cls) -> list[str]:
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        rows = []
+        for f in cls._WIRE:
+            kind = f.json_type + (" or null" if f.optional else "")
+            if f.choices:
+                bounds = "one of " + ", ".join(f"`{c}`" for c in f.choices)
+            else:
+                bounds = f.bounds or "any"
+            value = defaults[f.name]
+            if f.required:
+                default = "required"
+            else:
+                if value is not None and f.to_json is not None:
+                    value = f.to_json(value)
+                default = f"`{json.dumps(value)}`"
+            rows.append(f"| `{f.name}` | {kind} | {bounds} | {default} |")
+        return rows
+
+    @staticmethod
+    def _documented(name: str) -> list[str]:
+        lines = (ROOT / "docs" / "service.md").read_text().splitlines()
+        start = next(
+            i
+            for i, line in enumerate(lines)
+            if line.startswith(f"**`{name}`**")
+        )
+        table = []
+        for line in lines[start + 1 :]:
+            if line.startswith("|"):
+                table.append(line)
+            elif table:
+                break
+        return table[2:]  # past the header and its rule
+
+    @pytest.mark.parametrize(
+        "name", ["PlanRequest", "FleetRequest", "FleetDesign", "FleetReplica"]
+    )
+    def test_reference_matches_the_field_table(self, name):
+        import repro.api
+
+        cls = getattr(repro.api, name)
+        assert self._documented(name) == self._rows(cls)

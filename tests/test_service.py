@@ -304,6 +304,49 @@ class TestWorkBudget:
         assert "points is over the" in payload["error"]["message"]
 
 
+class TestNonFiniteNumbers:
+    """``json.loads`` accepts ``NaN``/``Infinity``; a ``NaN`` max-wait
+    once spun a server thread forever inside the evaluation lock, so
+    every later plan timed out while ``/v1/healthz`` still answered."""
+
+    NAN_BODY = (
+        b'{"designs":[{"replicas":[{"instance_type":"p2.xlarge"}],'
+        b'"max_wait_s":NaN}],"rate_per_s":10,"duration_s":5}'
+    )
+
+    def test_nan_body_is_400_and_the_next_plan_is_served(self):
+        with PlanningServer(port=0) as server:
+            # the timeout only guards against a hang; no timing is asserted
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=30.0
+            )
+            try:
+                connection.request(
+                    "POST", "/v1/fleet/evaluate", self.NAN_BODY
+                )
+                rejected = connection.getresponse()
+                error = json.loads(rejected.read())["error"]
+                connection.request(
+                    "POST", "/v1/plan", _body(target=78.0, deadline_h=6.0)
+                )
+                served = connection.getresponse()
+                served.read()
+            finally:
+                connection.close()
+        assert rejected.status == 400
+        assert error["code"] == "invalid_request"
+        assert "NaN" in error["message"]
+        assert served.status == 200
+
+    @pytest.mark.parametrize("literal", [b"Infinity", b"-Infinity", b"NaN"])
+    def test_every_non_finite_literal_is_400(self, service, literal):
+        status, _, payload = service.dispatch(
+            "POST", "/v1/plan", b'{"target": ' + literal + b"}"
+        )
+        assert status == 400
+        assert literal.decode() in json.loads(payload)["error"]["message"]
+
+
 class TestObservabilityRoutes:
     def test_healthz_reports_uptime_inflight_served(self):
         service = PlanningService()

@@ -111,6 +111,11 @@ class TestBatchPolicy:
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=4, max_wait_s=-1.0)
+        # a NaN wait never satisfies the dispatch test: the engine
+        # would re-arm its max-wait timer forever
+        for wait in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                BatchPolicy(max_batch=4, max_wait_s=wait)
 
     def test_full_batch_dispatches(self):
         q = PendingQueue()
