@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
+import types
 
 import pytest
 
-from repro.obs import get_metrics
+from repro.obs import bench, get_metrics
 from repro.obs.bench import (
     BENCH_SCHEMA,
     BenchRecord,
@@ -29,6 +31,24 @@ def _fast_scenarios(evals: int = 5):
         get_metrics().gauge("fake.peak").set(1.0)
 
     return {"fake.scenario": scenario}
+
+
+@pytest.fixture()
+def steady_clock(monkeypatch):
+    """Every scenario run lasts exactly one clock tick.
+
+    The fake scenario takes ~10 us, so one host stall in a single run
+    moves its wall ratio past any tolerance; tests of the gate's
+    bookkeeping (not of its timing) read this clock instead.
+    """
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        bench,
+        "time",
+        types.SimpleNamespace(
+            perf_counter=lambda: float(next(ticks)), time=time.time
+        ),
+    )
 
 
 class TestRunSuite:
@@ -108,7 +128,7 @@ class TestCheck:
         with pytest.raises(FileNotFoundError):
             check(tmp_path, scenarios=_fast_scenarios())
 
-    def test_passes_against_fresh_record(self, tmp_path):
+    def test_passes_against_fresh_record(self, tmp_path, steady_clock):
         record(tmp_path, repeats=1, scenarios=_fast_scenarios())
         report = check(tmp_path, repeats=1, scenarios=_fast_scenarios())
         assert report.ok
@@ -146,7 +166,7 @@ class TestCheck:
         assert any("drifted" in f for f in report.failures)
         assert any("5 -> 6" in f for f in report.failures)
 
-    def test_new_scenario_reported_not_failed(self, tmp_path):
+    def test_new_scenario_reported_not_failed(self, tmp_path, steady_clock):
         record(tmp_path, repeats=1, scenarios=_fast_scenarios())
         grown = {**_fast_scenarios(), "brand.new": lambda: None}
         report = check(tmp_path, repeats=1, scenarios=grown)
