@@ -40,6 +40,7 @@ from repro.api.types import (
     PlanRequest,
     PlanResponse,
 )
+from repro.calibration import MODELS
 from repro.errors import InfeasibleError, ReproError
 from repro.obs import get_tracer
 
@@ -64,18 +65,10 @@ _EVAL_LOCK = threading.Lock()
 @lru_cache(maxsize=None)
 def _model_pair(name: str):
     """The calibrated (time, accuracy) model pair for ``name``."""
-    from repro.calibration import (
-        caffenet_accuracy_model,
-        caffenet_time_model,
-        googlenet_accuracy_model,
-        googlenet_time_model,
-    )
-
-    if name == "caffenet":
-        return caffenet_time_model(), caffenet_accuracy_model()
-    if name == "googlenet":
-        return googlenet_time_model(), googlenet_accuracy_model()
-    raise ApiError("unknown_model", f"unknown model {name!r}")
+    if name not in MODELS:
+        raise ApiError("unknown_model", f"unknown model {name!r}")
+    time_model, accuracy_model = MODELS[name]
+    return time_model(), accuracy_model()
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING
 
+from repro.calibration import MODELS
 from repro.errors import (
     ConfigurationError,
     InfeasibleError,
@@ -87,7 +88,6 @@ ERROR_STATUS: dict[str, int] = {
     "internal": 500,
 }
 
-_KNOWN_MODELS = ("caffenet", "googlenet")
 _KNOWN_METRICS = ("top1", "top5")
 
 #: work budget of one plan request, in evaluation-grid points
@@ -523,7 +523,7 @@ def _plan_grid_points(
 
 
 @_wire(
-    _Field("model", STRING, choices=_KNOWN_MODELS, code="unknown_model"),
+    _Field("model", STRING, choices=tuple(MODELS), code="unknown_model"),
     _Field("target", NUMBER, "(0, 100]"),
     _Field("metric", STRING, choices=_KNOWN_METRICS),
     _Field("deadline_h", NUMBER, "(0, ∞)"),
@@ -755,7 +755,7 @@ class FleetDesign:
 
 
 @_wire(
-    _Field("model", STRING, choices=_KNOWN_MODELS, code="unknown_model"),
+    _Field("model", STRING, choices=tuple(MODELS), code="unknown_model"),
     _Field("designs", LIST, item=FleetDesign),
     _Field("rate_per_s", NUMBER, "(0, ∞)"),
     _Field("duration_s", NUMBER, "(0, 1e6]"),

@@ -24,7 +24,16 @@ from repro.calibration.googlenet import (
     googlenet_time_model,
 )
 
+#: model name -> (time-model factory, accuracy-model factory): the one
+#: list of calibrated models that every ``--model`` flag and the API's
+#: ``model`` field read
+MODELS = {
+    "caffenet": (caffenet_time_model, caffenet_accuracy_model),
+    "googlenet": (googlenet_time_model, googlenet_accuracy_model),
+}
+
 __all__ = [
+    "MODELS",
     "AccuracyModel",
     "AccuracyPair",
     "PiecewiseCurve",

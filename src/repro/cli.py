@@ -82,8 +82,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
-from repro.errors import ReproError
+from repro.api.types import _KNOWN_METRICS
+from repro.calibration import MODELS
+from repro.errors import ReproError, UnknownArtefactError
+from repro.serving.arrivals import ARRIVALS
+from repro.serving.router import ROUTING_POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -111,30 +116,36 @@ def _parse_spec(text: str):
 
 
 def _models(name: str):
-    from repro.calibration import (
-        caffenet_accuracy_model,
-        caffenet_time_model,
-        googlenet_accuracy_model,
-        googlenet_time_model,
-    )
-
-    if name == "caffenet":
-        return caffenet_time_model(), caffenet_accuracy_model()
-    if name == "googlenet":
-        return googlenet_time_model(), googlenet_accuracy_model()
-    raise argparse.ArgumentTypeError(f"unknown model {name!r}")
+    """Fresh calibrated (time, accuracy) models for ``--model``."""
+    time_model, accuracy_model = MODELS[name]
+    return time_model(), accuracy_model()
 
 
-def _add_telemetry_flags(
-    parser: argparse.ArgumentParser, *, trace: bool = True
-) -> None:
+#: ``--inject`` presets: the :class:`~repro.service.SoakInjection`
+#: fields each one perturbs the middle of a soak with
+_INJECTIONS = {
+    "price-step": lambda mixture: {"cost_scale": 3.0},
+    # a catalog only the server can reject: every pulse request comes
+    # back 4xx, stepping the error rate
+    "fault-plan": lambda mixture: {
+        "mixture": replace(mixture, catalog=("injected-fault",))
+    },
+    "latency": lambda mixture: {"extra_latency_s": 0.25},
+}
+
+
+def _add_model_flag(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--model`` flag: one of :data:`MODELS`."""
+    parser.add_argument("--model", default="caffenet", choices=list(MODELS))
+
+
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     """The shared ``--trace-out/--metrics-out/--log-json`` trio."""
-    if trace:
-        parser.add_argument(
-            "--trace-out",
-            metavar="PATH",
-            help="write a Chrome trace-event JSON (ui.perfetto.dev)",
-        )
+    parser.add_argument(
+        "--trace-out",
+        metavar="PATH",
+        help="write a Chrome trace-event JSON (ui.perfetto.dev)",
+    )
     parser.add_argument(
         "--metrics-out",
         metavar="PATH",
@@ -160,10 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="print the EC2 catalog (Table 3)")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose parsed arguments ``main`` hands to ``run``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p_exp = sub.add_parser(
-        "experiments", help="regenerate paper tables/figures"
+    command("catalog", _cmd_catalog, "print the EC2 catalog (Table 3)")
+
+    p_exp = command(
+        "experiments", _cmd_experiments, "regenerate paper tables/figures"
     )
     p_exp.add_argument(
         "ids", nargs="*", help="artefact ids (default: all)"
@@ -195,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_flags(p_exp)
 
-    p_report = sub.add_parser(
-        "report", help="Markdown report from structured results"
+    p_report = command(
+        "report", _cmd_report, "Markdown report from structured results"
     )
     p_report.add_argument(
         "ids", nargs="*", help="artefact ids (default: all)"
@@ -208,19 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N"
     )
 
-    p_sweep = sub.add_parser("sweep", help="single-layer pruning sweep")
-    p_sweep.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    p_sweep = command("sweep", _cmd_sweep, "single-layer pruning sweep")
+    _add_model_flag(p_sweep)
     p_sweep.add_argument("--layer", required=True)
     p_sweep.add_argument("--images", type=int, default=50_000)
 
-    p_alloc = sub.add_parser(
-        "allocate", help="Algorithm 1 over the full catalog"
+    p_alloc = command(
+        "allocate", _cmd_allocate, "Algorithm 1 over the full catalog"
     )
-    p_alloc.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_alloc)
     p_alloc.add_argument("--images", type=int, required=True)
     p_alloc.add_argument(
         "--deadline", type=float, required=True, help="hours"
@@ -232,12 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--instances-per-type", type=int, default=3
     )
 
-    p_sim = sub.add_parser(
-        "simulate", help="evaluate one (spec, configuration) pair"
+    p_sim = command(
+        "simulate", _cmd_simulate, "evaluate one (spec, configuration) pair"
     )
-    p_sim.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_sim)
     p_sim.add_argument(
         "--spec",
         type=_parse_spec,
@@ -252,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--images", type=int, default=50_000)
 
-    p_plan = sub.add_parser(
-        "plan", help="inverse planning: budget/deadline for a target accuracy"
+    p_plan = command(
+        "plan",
+        _cmd_plan,
+        "inverse planning: budget/deadline for a target accuracy",
     )
-    p_plan.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_plan)
     p_plan.add_argument(
         "--target",
         type=float,
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target accuracy in percent",
     )
     p_plan.add_argument(
-        "--metric", default="top5", choices=["top1", "top5"]
+        "--metric", default="top5", choices=list(_KNOWN_METRICS)
     )
     p_plan.add_argument(
         "--deadline", type=float, help="deadline in hours (-> min budget)"
@@ -276,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--images", type=int, default=20_000_000)
     p_plan.add_argument("--instances-per-type", type=int, default=2)
 
-    p_service = sub.add_parser(
-        "service", help="serve the versioned planning API over HTTP"
+    p_service = command(
+        "service", _cmd_service, "serve the versioned planning API over HTTP"
     )
     p_service.add_argument(
         "--host", default="127.0.0.1", help="bind address"
@@ -303,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         "JSONL, repro.events/v1)",
     )
 
-    p_load = sub.add_parser(
+    p_load = command(
         "loadgen",
-        help="open-loop load harness for the planning service",
+        _cmd_loadgen,
+        "open-loop load harness for the planning service",
     )
     p_load.add_argument(
         "--url",
@@ -326,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--arrival",
         default="uniform",
-        choices=["poisson", "uniform", "bursty"],
+        choices=list(ARRIVALS),
     )
     p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_load)
     p_load.add_argument("--images", type=int, default=20_000_000)
     p_load.add_argument("--instances-per-type", type=int, default=2)
     p_load.add_argument(
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--inject",
-        choices=["price-step", "fault-plan", "latency"],
+        choices=list(_INJECTIONS),
         help="perturb the middle third of the soak: a 3x cost step, "
         "a mixture the service rejects, or +250ms latency",
     )
@@ -384,9 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "JSONL, repro.events/v1)",
     )
 
-    p_tail = sub.add_parser(
-        "tail",
-        help="follow a JSONL event log (repro.events/v1)",
+    p_tail = command(
+        "tail", _cmd_tail, "follow a JSONL event log (repro.events/v1)"
     )
     p_tail.add_argument("path", help="JSONL event-log file")
     p_tail.add_argument(
@@ -414,12 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N matching events",
     )
 
-    p_serve = sub.add_parser(
-        "serve", help="online-serving simulation (latency percentiles)"
+    p_serve = command(
+        "serve", _cmd_serve, "online-serving simulation (latency percentiles)"
     )
-    p_serve.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_serve)
     p_serve.add_argument(
         "--spec", type=_parse_spec, default="none"
     )
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--arrival",
         default="poisson",
-        choices=["poisson", "uniform", "bursty"],
+        choices=list(ARRIVALS),
     )
     p_serve.add_argument("--max-batch", type=int, default=32)
     p_serve.add_argument("--max-wait", type=float, default=0.05)
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--routing",
         default="round-robin",
-        choices=["round-robin", "jsq", "weighted", "tiered", "adaptive"],
+        choices=list(ROUTING_POLICIES),
         help="fleet routing policy",
     )
     p_serve.add_argument(
@@ -550,12 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_flags(p_serve)
 
-    p_trace = sub.add_parser(
-        "trace", help="per-instance execution trace of a batch job"
+    p_trace = command(
+        "trace", _cmd_trace, "per-instance execution trace of a batch job"
     )
-    p_trace.add_argument(
-        "--model", default="caffenet", choices=["caffenet", "googlenet"]
-    )
+    _add_model_flag(p_trace)
     p_trace.add_argument("--spec", type=_parse_spec, default="none")
     p_trace.add_argument("--instances", nargs="+", required=True)
     p_trace.add_argument("--images", type=int, default=1_000_000)
@@ -570,14 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the gantt as Chrome trace-event JSON",
     )
 
-    p_export = sub.add_parser(
-        "export", help="write all artefacts as txt/json/csv"
+    p_export = command(
+        "export", _cmd_export, "write all artefacts as txt/json/csv"
     )
     p_export.add_argument("directory")
     p_export.add_argument("ids", nargs="*", help="artefact subset")
 
-    p_metrics = sub.add_parser(
-        "metrics", help="export artefact metric snapshots"
+    p_metrics = command(
+        "metrics", _cmd_metrics, "export artefact metric snapshots"
     )
     p_metrics.add_argument(
         "ids", nargs="*", help="artefact ids (default: all)"
@@ -594,8 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument("--jobs", type=int, default=1, metavar="N")
 
-    p_bench = sub.add_parser(
-        "bench", help="performance-trajectory recorder / regression gate"
+    p_bench = command(
+        "bench",
+        _cmd_bench,
+        "performance-trajectory recorder / regression gate",
     )
     mode = p_bench.add_mutually_exclusive_group()
     mode.add_argument(
@@ -659,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_catalog() -> int:
+def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.experiments.tables import render_table3
 
     print(render_table3())
@@ -667,20 +674,15 @@ def _cmd_catalog() -> int:
 
 
 def _run_selection(ids: Sequence[str], jobs: int, use_cache: bool, manifest_path=None):
-    """Run the selection through the engine; exit code 2 on unknown ids."""
-    from repro.errors import UnknownArtefactError
+    """Run the selection through the engine (all artefacts when empty)."""
     from repro.experiments.engine import run_experiments
 
-    try:
-        return run_experiments(
-            tuple(ids) or None,
-            jobs=jobs,
-            use_cache=use_cache,
-            manifest_path=manifest_path,
-        )
-    except UnknownArtefactError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
+    return run_experiments(
+        tuple(ids) or None,
+        jobs=jobs,
+        use_cache=use_cache,
+        manifest_path=manifest_path,
+    )
 
 
 def _maybe_event_log(path):
@@ -735,8 +737,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         run = _run_selection(
             args.ids, args.jobs, use_cache, args.manifest
         )
-    if run is None:
-        return 2
     if args.trace_out:
         from repro.obs.export import merge_chrome_traces, write_chrome_trace
 
@@ -786,8 +786,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import build_markdown_report
 
     run = _run_selection(args.ids, args.jobs, use_cache=True)
-    if run is None:
-        return 2
     text = build_markdown_report(run.results, run.manifest)
     if args.output:
         Path(args.output).write_text(text)
@@ -940,21 +938,11 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
 def _soak_injection(preset: str | None, mixture):
     """Build the :class:`SoakInjection` a ``--inject`` preset names."""
-    from dataclasses import replace
-
     from repro.service import SoakInjection
 
     if preset is None:
         return None
-    if preset == "price-step":
-        return SoakInjection(cost_scale=3.0)
-    if preset == "fault-plan":
-        # a catalog only the server can reject: every pulse request
-        # comes back 4xx, stepping the error rate
-        return SoakInjection(
-            mixture=replace(mixture, catalog=("injected-fault",))
-        )
-    return SoakInjection(extra_latency_s=0.25)
+    return SoakInjection(**_INJECTIONS[preset](mixture))
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1076,19 +1064,58 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     return 0
 
 
+def _faults_and_rate(args: argparse.Namespace, configuration, seed: int):
+    """``(FaultPlan, hourly rate)`` of one serving deployment.
+
+    The plan samples ``--faults`` preemptions (seeded with ``seed``) or
+    only applies ``--request-timeout``/``--retry-budget``; it is
+    ``None`` when neither flag is given.  The rate is the ``--spot``
+    price of ``configuration``, ``None`` for on-demand billing.
+    """
+    from repro.cloud.faults import FaultPlan
+    from repro.cloud.pricing import spot_rate
+
+    plan = None
+    if args.faults is not None:
+        plan = FaultPlan.sample(
+            duration_s=args.duration,
+            workers=configuration.total_gpus,
+            mtbf_s=args.faults,
+            recovery_s=args.fault_recovery,
+            retry_budget=args.retry_budget,
+            timeout_s=args.request_timeout,
+            seed=seed,
+        )
+    elif args.request_timeout is not None:
+        plan = FaultPlan(
+            retry_budget=args.retry_budget, timeout_s=args.request_timeout
+        )
+    hourly_rate = (
+        spot_rate(configuration.total_price_per_hour) if args.spot else None
+    )
+    return plan, hourly_rate
+
+
+def _write_serve_outputs(args: argparse.Namespace, tracer, registry) -> None:
+    """Write ``serve``'s ``--trace-out`` trace and ``--metrics-out``
+    snapshot, when asked for."""
+    if args.trace_out:
+        from repro.obs.export import chrome_trace, write_chrome_trace
+
+        write_chrome_trace(args.trace_out, chrome_trace(tracer))
+        print(f"trace   -> {args.trace_out}", file=sys.stderr)
+    if args.metrics_out:
+        _write_metrics(args.metrics_out, {"serve": registry.snapshot()})
+        print(f"metrics -> {args.metrics_out}", file=sys.stderr)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fleet:
         return _cmd_serve_fleet(args)
     from repro.cloud.catalog import instance_type
     from repro.cloud.configuration import ResourceConfiguration
     from repro.cloud.instance import CloudInstance
-    from repro.serving import (
-        BatchPolicy,
-        ServingSimulator,
-        bursty_arrivals,
-        poisson_arrivals,
-        uniform_arrivals,
-    )
+    from repro.serving import BatchPolicy, ServingSimulator
 
     if not args.instances:
         print("serve needs --instances (or --fleet)", file=sys.stderr)
@@ -1097,37 +1124,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ResourceConfiguration(
         [CloudInstance(instance_type(n)) for n in args.instances]
     )
-    generator = {
-        "poisson": poisson_arrivals,
-        "uniform": uniform_arrivals,
-        "bursty": bursty_arrivals,
-    }[args.arrival]
-    kwargs = {"seed": args.seed} if args.arrival != "uniform" else {}
-    arrivals = generator(args.rate, args.duration, **kwargs)
-    plan = None
-    if args.faults is not None or args.request_timeout is not None:
-        from repro.cloud.faults import FaultPlan
-
-        if args.faults is not None:
-            plan = FaultPlan.sample(
-                duration_s=args.duration,
-                workers=config.total_gpus,
-                mtbf_s=args.faults,
-                recovery_s=args.fault_recovery,
-                retry_budget=args.retry_budget,
-                timeout_s=args.request_timeout,
-                seed=args.seed,
-            )
-        else:
-            plan = FaultPlan(
-                retry_budget=args.retry_budget,
-                timeout_s=args.request_timeout,
-            )
-    hourly_rate = None
-    if args.spot:
-        from repro.cloud.pricing import spot_rate
-
-        hourly_rate = spot_rate(config.total_price_per_hour)
+    arrivals = ARRIVALS[args.arrival](
+        args.rate, args.duration, seed=args.seed
+    )
+    plan, hourly_rate = _faults_and_rate(args, config, args.seed)
     simulator = ServingSimulator(
         time_model,
         accuracy_model,
@@ -1191,14 +1191,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"SLO alert : [{state}] {alert['slo']} "
             f"burn {alert['burn_rate']:.1f}x at t={alert['at_s']:.1f}s"
         )
-    if args.trace_out:
-        from repro.obs.export import chrome_trace, write_chrome_trace
-
-        write_chrome_trace(args.trace_out, chrome_trace(tracer))
-        print(f"trace   -> {args.trace_out}", file=sys.stderr)
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, {"serve": registry.snapshot()})
-        print(f"metrics -> {args.metrics_out}", file=sys.stderr)
+    _write_serve_outputs(args, tracer, registry)
     return 0
 
 
@@ -1226,46 +1219,28 @@ def _parse_replica(entry: str, index: int):
     return name, configuration, spec
 
 
-def _parse_floors(text: str):
-    """Parse ``0=0.7,75=0.3`` into a floor-mixture tuple."""
+def _parse_mixture(text: str | None, flag: str, unit: str):
+    """Parse ``VALUE=FRACTION,...`` (e.g. ``--floors 0=0.7,75=0.3``)
+    into a mixture tuple; ``()`` when the flag is absent."""
     from repro.errors import ConfigurationError
 
-    floors = []
+    if not text:
+        return ()
+    pairs = []
     for part in text.split(","):
-        floor, _, fraction = part.partition("=")
+        value, _, fraction = part.partition("=")
         if not fraction:
             raise ConfigurationError(
-                f"--floors expects TOP5=FRACTION pairs, got {part!r}"
+                f"{flag} expects {unit}=FRACTION pairs, got {part!r}"
             )
         try:
-            floors.append((float(floor), float(fraction)))
+            pairs.append((float(value), float(fraction)))
         except ValueError:
             raise ConfigurationError(
-                f"--floors expects numeric TOP5=FRACTION pairs, got {part!r}"
-            ) from None
-    return tuple(floors)
-
-
-def _parse_deadlines(text: str):
-    """Parse ``0.5=0.8,2=0.2`` into a deadline-mixture tuple."""
-    from repro.errors import ConfigurationError
-
-    deadlines = []
-    for part in text.split(","):
-        deadline, _, fraction = part.partition("=")
-        if not fraction:
-            raise ConfigurationError(
-                "--deadlines expects SECONDS=FRACTION pairs, "
-                f"got {part!r}"
-            )
-        try:
-            deadlines.append((float(deadline), float(fraction)))
-        except ValueError:
-            raise ConfigurationError(
-                "--deadlines expects numeric SECONDS=FRACTION pairs, "
+                f"{flag} expects numeric {unit}=FRACTION pairs, "
                 f"got {part!r}"
             ) from None
-    return tuple(deadlines)
+    return tuple(pairs)
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
@@ -1291,30 +1266,9 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     replicas = []
     for i, entry in enumerate(args.replica):
         name, configuration, spec = _parse_replica(entry, i)
-        plan = None
-        if args.faults is not None or args.request_timeout is not None:
-            from repro.cloud.faults import FaultPlan
-
-            if args.faults is not None:
-                plan = FaultPlan.sample(
-                    duration_s=args.duration,
-                    workers=configuration.total_gpus,
-                    mtbf_s=args.faults,
-                    recovery_s=args.fault_recovery,
-                    retry_budget=args.retry_budget,
-                    timeout_s=args.request_timeout,
-                    seed=args.seed + i,
-                )
-            else:
-                plan = FaultPlan(
-                    retry_budget=args.retry_budget,
-                    timeout_s=args.request_timeout,
-                )
-        hourly_rate = None
-        if args.spot:
-            from repro.cloud.pricing import spot_rate
-
-            hourly_rate = spot_rate(configuration.total_price_per_hour)
+        plan, hourly_rate = _faults_and_rate(
+            args, configuration, args.seed + i
+        )
         replicas.append(
             ReplicaSpec(
                 name=name,
@@ -1343,10 +1297,8 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         args.duration,
         arrival=args.arrival,
         seed=args.seed,
-        floors=_parse_floors(args.floors) if args.floors else (),
-        deadlines=(
-            _parse_deadlines(args.deadlines) if args.deadlines else ()
-        ),
+        floors=_parse_mixture(args.floors, "--floors", "TOP5"),
+        deadlines=_parse_mixture(args.deadlines, "--deadlines", "SECONDS"),
     )
     arrivals = workload.arrivals()
     floors = workload.accuracy_floors(arrivals.size)
@@ -1427,14 +1379,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             f"latency {burn['latency']:.2f}x  "
             f"({telemetry.alerts_fired} alerts fired)"
         )
-    if args.trace_out:
-        from repro.obs.export import chrome_trace, write_chrome_trace
-
-        write_chrome_trace(args.trace_out, chrome_trace(tracer))
-        print(f"trace   -> {args.trace_out}", file=sys.stderr)
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, {"serve": registry.snapshot()})
-        print(f"metrics -> {args.metrics_out}", file=sys.stderr)
+    _write_serve_outputs(args, tracer, registry)
     return 0
 
 
@@ -1468,16 +1413,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.experiments.engine import REGISTRY
     from repro.experiments.export import export_all
 
-    bad = [i for i in args.ids if i not in REGISTRY]
-    if bad:
-        print(
-            f"unknown artefacts {bad}; available: {sorted(REGISTRY)}",
-            file=sys.stderr,
-        )
-        return 2
     for path in export_all(args.directory, tuple(args.ids) or None):
         print(path)
     return 0
@@ -1493,8 +1430,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     # cached results carry empty snapshots, so always recompute
     run = _run_selection(args.ids, args.jobs, use_cache=False)
-    if run is None:
-        return 2
     snapshots = {r.artefact: r.metrics for r in run.results}
     if args.fmt == "json":
         text = json.dumps(
@@ -1567,43 +1502,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "catalog":
-            return _cmd_catalog()
-        if args.command == "experiments":
-            return _cmd_experiments(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "allocate":
-            return _cmd_allocate(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "service":
-            return _cmd_service(args)
-        if args.command == "loadgen":
-            return _cmd_loadgen(args)
-        if args.command == "tail":
-            return _cmd_tail(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return args.run(args)
+    except UnknownArtefactError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

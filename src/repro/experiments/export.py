@@ -97,10 +97,11 @@ def export_all(
     jobs: int = 1,
 ) -> list[str]:
     """Regenerate artefacts into ``directory``; returns written paths."""
+    # run first: an unknown id raises before anything is written
+    run = run_experiments(only, jobs=jobs, write_manifest=False)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    run = run_experiments(only, jobs=jobs, write_manifest=False)
     manifest = []
     for output in run.results:
         txt_path = directory / f"{output.artefact}.txt"

@@ -294,7 +294,7 @@ def _scenario_service_plan() -> dict[str, float]:
     assert report.errors == 0, report.status_counts
     assert (report.cache_misses, report.cache_hits) == (0, 400)
     return {
-        "qps": report.qps,
+        "offered_qps": report.qps,
         "p50_ms": report.p50 * 1e3,
         "p95_ms": report.p95 * 1e3,
         "p99_ms": report.p99 * 1e3,

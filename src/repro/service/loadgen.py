@@ -56,11 +56,7 @@ from repro.obs.timeseries import (
     TelemetryPipeline,
     WindowSnapshot,
 )
-from repro.serving.arrivals import (
-    bursty_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from repro.serving.arrivals import ARRIVALS
 from repro.serving.metrics import LatencyStats
 
 __all__ = [
@@ -75,12 +71,6 @@ __all__ = [
     "run_load",
     "run_soak",
 ]
-
-_GENERATORS = {
-    "poisson": poisson_arrivals,
-    "uniform": uniform_arrivals,
-    "bursty": bursty_arrivals,
-}
 
 _CACHE_COUNTERS = ("evalspace.cache_hits", "evalspace.cache_misses")
 
@@ -401,15 +391,15 @@ def run_load(
         raise ApiError(
             "invalid_request", f"rate must be positive, got {rate_per_s}"
         )
-    if arrival not in _GENERATORS:
+    if arrival not in ARRIVALS:
         raise ApiError(
             "invalid_request",
             f"unknown arrival process {arrival!r}; "
-            f"available: {sorted(_GENERATORS)}",
+            f"available: {sorted(ARRIVALS)}",
         )
     if n_requests is not None:
         duration_s = n_requests / rate_per_s
-    arrivals = _GENERATORS[arrival](
+    arrivals = ARRIVALS[arrival](
         rate_per_s,
         duration_s,
         seed=mixture.seed if seed is None else seed,
@@ -520,7 +510,8 @@ SOAK_POLICIES: dict[str, AnomalyPolicy] = {
 }
 
 #: first-vs-last relative change beyond which a metric counts as
-#: drifting (the ISSUE's "did sustained operation degrade it" bar)
+#: drifting ("did sustained operation degrade it"), provided the
+#: absolute change also exceeds its detector's ``min_sigma``
 DRIFT_TOLERANCE = 0.5
 
 
@@ -695,6 +686,10 @@ def _drift_verdicts(
     for name, series in sorted(pipeline.series.items()):
         detector = pipeline.detectors.get(name)
         stat = detector.policy.stat if detector is not None else "mean"
+        # the detector's own absolute floor: a move smaller than the
+        # jitter it ignores is not drift either, however large relative
+        # to a near-zero head (2.7 ms -> 1.5 ms of latency)
+        floor = detector.policy.min_sigma if detector is not None else 0.0
         rows = [
             w
             for w in series.windows
@@ -718,7 +713,8 @@ def _drift_verdicts(
                 first=first,
                 last=last,
                 rel_change=rel,
-                drifting=abs(rel) > tolerance,
+                drifting=abs(last - first)
+                > max(tolerance * abs(first), floor),
             )
         )
     return tuple(verdicts)

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["poisson_arrivals", "uniform_arrivals", "bursty_arrivals"]
+__all__ = [
+    "ARRIVALS",
+    "bursty_arrivals",
+    "poisson_arrivals",
+    "uniform_arrivals",
+]
 
 
 def poisson_arrivals(
@@ -88,3 +93,13 @@ def bursty_arrivals(
     if not times:
         return np.empty(0)
     return np.sort(np.concatenate(times))
+
+
+#: arrival-process name -> generator, each called as
+#: ``generator(rate_per_s, duration_s, seed=seed)``: the one list the
+#: fleet workload, the load generator and every ``--arrival`` flag read
+ARRIVALS = {
+    "poisson": poisson_arrivals,
+    "uniform": uniform_arrivals,
+    "bursty": bursty_arrivals,
+}

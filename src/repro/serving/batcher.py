@@ -78,16 +78,23 @@ class PendingQueue:
     def should_dispatch(self, now: float, policy: BatchPolicy) -> bool:
         """Is a batch ready under ``policy`` at time ``now``?
 
-        The wait comparison carries a 1 ns epsilon: a timeout event
-        scheduled at ``arrival + max_wait`` must satisfy the test at its
-        own timestamp despite float rounding (``1.2 - 1.0 < 0.2`` in
-        binary floating point), otherwise the timer re-arms forever.
+        A timeout event scheduled at ``arrival + max_wait`` must
+        satisfy the test at its own timestamp, otherwise the timer
+        re-arms forever.  The wait comparison carries a 1 ns epsilon
+        for float rounding (``1.2 - 1.0 < 0.2`` in binary floating
+        point), and the timer's own firing time passes outright: once
+        arrival times are so large that a float no longer resolves
+        1 ns, no epsilon would do.
         """
         if not self._queue:
             return False
         if len(self._queue) >= policy.max_batch:
             return True
-        return now - self.oldest_arrival() >= policy.max_wait_s - 1e-9
+        oldest = self.oldest_arrival()
+        return (
+            now - oldest >= policy.max_wait_s - 1e-9
+            or now >= oldest + policy.max_wait_s
+        )
 
     def take(self, n: int) -> list[tuple[int, float]]:
         """Remove and return up to ``n`` oldest requests."""

@@ -33,9 +33,9 @@ policies to pin down.  The key arguments:
   run absorbs arrivals up to (exclusive) the first one that fills a
   batch, satisfies the max-wait test, or expires the queue head —
   found by binary search *on the engine's own float predicates*
-  (``t - oldest >= max_wait - 1e-9`` etc.), never on rearranged
-  arithmetic, so the boundary lands on exactly the event the scalar
-  loop would act on.  Both predicates are monotone in the arrival
+  (``t - oldest >= max_wait - 1e-9 or t >= oldest + max_wait`` etc.),
+  never on rearranged arithmetic, so the boundary lands on exactly the
+  event the scalar loop would act on.  Both predicates are monotone in the arrival
   index, so one comparison against the window's last arrival decides
   whether the search needs to run at all.
 * The head-first timeout purge is monotone (older requests expire
@@ -171,10 +171,12 @@ def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
 
     # ------------------------------------------------------------------
     def first_wait(lo: int, hi: int, old: float) -> int:
-        """First index in [lo, hi) with ``arrl[i] - old >= wait_eps``."""
+        """First index in [lo, hi) whose arrival passes the max-wait
+        test against ``old`` (the predicate is monotone in the index)."""
+        due = old + max_wait
         while lo < hi:
             mid = (lo + hi) // 2
-            if arrl[mid] - old >= wait_eps:
+            if arrl[mid] - old >= wait_eps or arrl[mid] >= due:
                 hi = mid
             else:
                 lo = mid + 1
@@ -281,7 +283,9 @@ def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
                 if not q:
                     break
                 old = arrl[head]
-            if q < max_batch and not (t - old >= wait_eps):
+            if q < max_batch and not (
+                t - old >= wait_eps or t >= old + max_wait
+            ):
                 break
             worker_id = free.pop()
             cap = worker_cap[worker_id]
@@ -400,11 +404,17 @@ def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
                 trigger = q + 1 >= max_batch
                 if q and not trigger:
                     old = queue.oldest_arrival() if rq else arrl[head]
-                    trigger = ta - old >= wait_eps or (
-                        tthresh is not None and ta - old > tthresh
+                    trigger = (
+                        ta - old >= wait_eps
+                        or ta >= old + max_wait
+                        or (tthresh is not None and ta - old > tthresh)
                     )
                 elif not q:
-                    trigger = trigger or 0.0 >= wait_eps
+                    # the arrival is its own oldest: the max-wait test
+                    # at age 0 (true when max_wait vanishes against ta)
+                    trigger = (
+                        trigger or 0.0 >= wait_eps or ta >= ta + max_wait
+                    )
                 if trigger:
                     # this arrival changes state: run the full per-event
                     # step (push + dispatch) for it alone
@@ -424,7 +434,10 @@ def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
                         if fill < j:
                             j = fill
                         if j > i + 1:
-                            if arrl[j - 1] - old >= wait_eps:
+                            if (
+                                arrl[j - 1] - old >= wait_eps
+                                or arrl[j - 1] >= old + max_wait
+                            ):
                                 j = first_wait(i + 1, j, old)
                             if (
                                 tthresh is not None
@@ -486,7 +499,9 @@ def columnar_run(sim, arrivals: np.ndarray, plan: FaultPlan, telemetry=None):
                     old_h = arrl[head]
                 if (
                     qend - head + len(rq) < max_batch
-                    and not (now - old_h >= wait_eps)
+                    and not (
+                        now - old_h >= wait_eps or now >= old_h + max_wait
+                    )
                     and (tthresh is None or not (now - old_h > tthresh))
                     and timer_at is not None
                     and not (old_h + max_wait < timer_at)

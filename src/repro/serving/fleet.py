@@ -32,11 +32,7 @@ from repro.calibration.accuracy_model import AccuracyModel
 from repro.errors import ConfigurationError
 from repro.obs import get_metrics
 from repro.perf.latency import CalibratedTimeModel
-from repro.serving.arrivals import (
-    bursty_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from repro.serving.arrivals import ARRIVALS
 from repro.serving.router import (
     AdmissionPolicy,
     FleetReport,
@@ -51,12 +47,6 @@ __all__ = [
     "evaluate_fleet",
     "fleet_cache_info",
 ]
-
-_GENERATORS = {
-    "poisson": poisson_arrivals,
-    "uniform": uniform_arrivals,
-    "bursty": bursty_arrivals,
-}
 
 _CACHE_MAX_ENTRIES = 32
 
@@ -93,10 +83,10 @@ class FleetWorkload:
     deadlines: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.arrival not in _GENERATORS:
+        if self.arrival not in ARRIVALS:
             raise ConfigurationError(
                 f"unknown arrival process {self.arrival!r}; "
-                f"available: {sorted(_GENERATORS)}"
+                f"available: {sorted(ARRIVALS)}"
             )
         if self.rate_per_s <= 0 or self.duration_s <= 0:
             raise ConfigurationError(
@@ -122,7 +112,7 @@ class FleetWorkload:
     # ------------------------------------------------------------------
     def arrivals(self) -> np.ndarray:
         """The (sorted) arrival times this workload describes."""
-        return _GENERATORS[self.arrival](
+        return ARRIVALS[self.arrival](
             self.rate_per_s, self.duration_s, seed=self.seed
         )
 

@@ -33,6 +33,7 @@ from repro.api.types import (
 from repro.cloud.catalog import EC2_CATALOG
 from repro.cnn.models import CAFFENET_CONV_LAYERS, GOOGLENET_SELECTED_LAYERS
 from repro.serving import ROUTING_POLICIES
+from repro.serving.arrivals import ARRIVALS
 from repro.service import PlanningService
 
 PLAN = "/v1/plan"
@@ -129,7 +130,7 @@ JSON = st.recursive(
 NAMES = {
     "instance_type": tuple(t.name for t in EC2_CATALOG),
     "routing": ROUTING_POLICIES,
-    "arrival": ("poisson", "uniform", "bursty"),
+    "arrival": tuple(ARRIVALS),
 }
 LAYERS = CAFFENET_CONV_LAYERS + GOOGLENET_SELECTED_LAYERS
 

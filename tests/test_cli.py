@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
+from repro.api.types import _KNOWN_METRICS
+from repro.calibration import MODELS
 from repro.cli import (
+    _INJECTIONS,
     _parse_spec,
     _soak_injection,
     build_parser,
     main,
 )
+from repro.serving.arrivals import ARRIVALS
+from repro.serving.router import ROUTING_POLICIES
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return dict(sub.choices)
+
+
+def _choices(command: str, option: str) -> list:
+    (action,) = [
+        action
+        for action in _subcommands()[command]._actions
+        if option in action.option_strings
+    ]
+    return list(action.choices)
 
 
 class TestSpecParsing:
@@ -54,6 +78,37 @@ class TestParser:
         )
         assert args.spec.ratio_for("conv1") == 0.2
         assert args.instances == ["p2.xlarge", "g3.4xlarge"]
+
+
+class TestChoicesComeFromTables:
+    """Every choice flag reads the table that owns its names."""
+
+    def test_every_model_flag_lists_the_model_table(self):
+        commands = [
+            name
+            for name, parser in _subcommands().items()
+            if any("--model" in a.option_strings for a in parser._actions)
+        ]
+        assert commands == [
+            "sweep", "allocate", "simulate", "plan", "loadgen", "serve",
+            "trace",
+        ]
+        for command in commands:
+            assert _choices(command, "--model") == list(MODELS), command
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_arrival_flags_list_the_arrival_table(self, command):
+        assert _choices(command, "--arrival") == list(ARRIVALS)
+
+    def test_routing_inject_and_metric(self):
+        assert _choices("serve", "--routing") == list(ROUTING_POLICIES)
+        assert _choices("loadgen", "--inject") == list(_INJECTIONS)
+        assert _choices("plan", "--metric") == list(_KNOWN_METRICS)
+
+    def test_every_subcommand_names_its_runner(self):
+        for name, parser in _subcommands().items():
+            run = parser.get_default("run")
+            assert run.__name__ == f"_cmd_{name}", name
 
 
 class TestMain:

@@ -17,8 +17,10 @@ reference ``_RoutingState`` with a tight tolerance.
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import random
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     FleetRouter,
+    FleetWorkload,
     ReplicaSpec,
     ServingSimulator,
     fluid_backlog_trajectory,
@@ -201,6 +204,54 @@ class TestServingEngineEquivalence:
             sim.run(np.array([-1.0, 0.5]))
         with pytest.raises(ValueError):
             reference.serve(sim, np.array([-1.0, 0.5]), FaultPlan.none())
+
+    @pytest.mark.parametrize("arrival_s", [6799319039689.096, 1e300])
+    def test_far_future_arrival_is_served(self, arrival_s):
+        # at t ~ 6.8e12, (t + 0.05) - t == 0.0498046875: a max-wait test
+        # with only its 1 ns epsilon never passed there, and the timer
+        # re-armed at its own firing time forever
+        sim = _simulator("p2.8xlarge", SWEET, BatchPolicy(32, 0.05))
+        arrivals = np.array([arrival_s])
+        with _time_limit(10):
+            columnar = sim.run(arrivals)
+            replay = reference.serve(sim, arrivals, FaultPlan.none())
+        assert columnar.served == 1
+        assert _report_fingerprint(columnar) == _report_fingerprint(replay)
+
+    def test_far_future_fleet_workload_is_served(self):
+        arrivals = FleetWorkload(1e-13, 1e13, seed=0).arrivals()
+        assert arrivals.tolist() == [6799319039689.096]
+        router = FleetRouter(
+            TM,
+            AM,
+            [
+                ReplicaSpec(
+                    "solo",
+                    _config("p2.8xlarge"),
+                    SWEET,
+                    BatchPolicy(32, 0.05),
+                )
+            ],
+        )
+        with _time_limit(10):
+            report = router.run(arrivals)
+        assert report.served == 1
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail (instead of hanging) when the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _replicas(rng: random.Random, count: int) -> list[ReplicaSpec]:

@@ -20,6 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.calibration import MODELS
+from repro.serving.arrivals import ARRIVALS
+from repro.serving.router import ROUTING_POLICIES
+
 ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
 
@@ -103,12 +107,19 @@ class TestGrepGate:
             "(EXPERIMENTS.md keeps the full index)"
         )
 
-    def test_routing_policies_are_documented(self):
-        from repro.serving import ROUTING_POLICIES
-
-        serving_md = (ROOT / "docs" / "serving.md").read_text()
-        for name in ROUTING_POLICIES:
-            assert f"`{name}`" in serving_md, name
+    @pytest.mark.parametrize(
+        "names, doc",
+        [
+            (ROUTING_POLICIES, "serving.md"),
+            (ARRIVALS, "serving.md"),
+            (MODELS, "service.md"),
+        ],
+        ids=["routing", "arrivals", "models"],
+    )
+    def test_routing_policies_are_documented(self, names, doc):
+        text = (ROOT / "docs" / doc).read_text()
+        for name in names:
+            assert f"`{name}`" in text, name
 
 
 class TestFieldReference:

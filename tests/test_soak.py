@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import ApiError, clear_api_caches
 from repro.obs import MetricsRegistry, Tracer, scoped_observability
+from repro.obs.timeseries import TelemetryPipeline, WindowSnapshot
 from repro.service import (
     InProcessTarget,
     PlanMixture,
@@ -22,6 +23,11 @@ from repro.service import (
     SoakInjection,
     run_load,
     run_soak,
+)
+from repro.service.loadgen import (
+    DRIFT_TOLERANCE,
+    SOAK_POLICIES,
+    _drift_verdicts,
 )
 
 #: tiny grid, so real-service cases stay cheap and cache-warm
@@ -188,6 +194,38 @@ class TestSoakInjected:
         ]
         assert cost_verdict.drifting
         assert cost_verdict.rel_change == pytest.approx(3.0, rel=0.05)
+
+
+class TestDriftFloor:
+    """A drift verdict needs the move to clear the detector's own
+    absolute floor (50 ms for latency), not just the relative bar."""
+
+    @staticmethod
+    def _latency_verdict(head_s: float, tail_s: float):
+        pipeline = TelemetryPipeline(window_s=1.0)
+        series = pipeline.watch("latency_s", SOAK_POLICIES["latency_s"])
+        for index in range(12):
+            value = head_s if index < 6 else tail_s
+            series.windows.append(
+                WindowSnapshot(
+                    "latency_s", index, float(index), 10, value, value,
+                    value, value,
+                )
+            )
+        (verdict,) = _drift_verdicts(pipeline, DRIFT_TOLERANCE)
+        return verdict
+
+    # scheduler jitter against an instant target: -47%, and a -56% move
+    # that the relative bar alone would call drift; 1-2 ms either way
+    @pytest.mark.parametrize("tail_s", [1.46e-3, 1.2e-3])
+    def test_millisecond_jitter_is_not_drift(self, tail_s):
+        verdict = self._latency_verdict(2.73e-3, tail_s)
+        assert verdict.rel_change < -0.4
+        assert not verdict.drifting
+
+    def test_sustained_latency_step_still_drifts(self):
+        verdict = self._latency_verdict(2.73e-3, 2.73e-3 + 0.25)
+        assert verdict.drifting
 
 
 class TestSoakAgainstRealService:
