@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.allocation import brute_force_allocate, greedy_allocate
-from repro.experiments.algorithm1 import _default_degrees, _resource_pool
+from repro.experiments.algorithm1 import _resource_pool
+from repro.pruning.schedule import algorithm1_variant_set
 
 POOL = 10
 IMAGES = 200_000
@@ -21,7 +22,7 @@ BUDGET = 15.0
 @pytest.fixture(scope="module")
 def problem(caffenet_simulator):
     return (
-        _default_degrees(),
+        algorithm1_variant_set(),
         _resource_pool(POOL),
         caffenet_simulator,
     )

@@ -13,9 +13,9 @@ Request resolution is memoized: the (model, grid, workload) fields of
 a request map to long-lived :class:`~repro.core.evalspace.SpaceSpec` /
 model objects via ``lru_cache``, so a warm planning query costs one
 precomputed-hash cache probe plus the vectorised selection — the
-property the ``service.plan`` bench scenario measures.  Cache probes
-take a process-wide lock, so concurrent identical requests produce
-exactly one miss (single-flight).
+property the ``service.plan`` bench scenario measures.  Both caches
+are single-flight per key: concurrent identical requests produce one
+miss, and hits or other keys never wait on that build.
 
 :func:`fleet_report` and :func:`select_cheapest_fleet` are the
 spec-level entry points for callers that already hold
@@ -26,7 +26,6 @@ kernels behind both.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -54,11 +53,6 @@ __all__ = [
     "select_cheapest_fleet",
 ]
 
-#: Single-flight guard over the evaluation caches: concurrent identical
-#: requests serialise here, so exactly one of them pays the miss.
-_EVAL_LOCK = threading.Lock()
-
-
 # ----------------------------------------------------------------------
 # memoized request resolution
 # ----------------------------------------------------------------------
@@ -67,20 +61,8 @@ def _model_pair(name: str):
     """The calibrated (time, accuracy) model pair for ``name``."""
     if name not in MODELS:
         raise ApiError("unknown_model", f"unknown model {name!r}")
-    time_model, accuracy_model = MODELS[name]
-    return time_model(), accuracy_model()
-
-
-@lru_cache(maxsize=None)
-def _plan_degrees(name: str) -> tuple:
-    """The degrees-of-pruning ladder the planner sweeps for ``name``."""
-    if name == "caffenet":
-        from repro.pruning.schedule import caffenet_variant_set
-
-        return tuple(caffenet_variant_set())
-    from repro.experiments.ext_googlenet_pareto import googlenet_variant_set
-
-    return tuple(googlenet_variant_set())
+    row = MODELS[name]
+    return row.time_model(), row.accuracy_model()
 
 
 @lru_cache(maxsize=32)
@@ -105,23 +87,16 @@ def _plan_space_spec(
     return SpaceSpec.build(
         time_model,
         accuracy_model,
-        _plan_degrees(model),
+        MODELS[model].plan_degrees(),
         enumerate_configurations(types, max_per_type=instances_per_type),
         images,
     )
 
 
-def _evaluate_spec(spec):
-    """Single-flight probe of the evaluation-space cache."""
-    from repro.core.evalspace import evaluate
-
-    with _EVAL_LOCK:
-        return evaluate(spec)
-
-
 def planning_space(request: PlanRequest):
     """The memoized :class:`~repro.core.planner.PlanningSpace` a plan
     request runs its queries over (evaluated on first use)."""
+    from repro.core.evalspace import evaluate
     from repro.core.planner import PlanningSpace
 
     try:
@@ -133,9 +108,7 @@ def planning_space(request: PlanRequest):
         )
     except ReproError as exc:
         raise ApiError.from_exception(exc) from exc
-    return PlanningSpace(
-        space=_evaluate_spec(spec), metric=request.metric
-    )
+    return PlanningSpace(space=evaluate(spec), metric=request.metric)
 
 
 # ----------------------------------------------------------------------
@@ -256,71 +229,36 @@ def _bind_design(design: FleetDesign, index: int, model: str):
     )
 
 
-def _evaluate_request(request: FleetRequest):
-    """Bind every design, then evaluate each; returns (names, specs,
-    reports).  A bad name or design fails before any simulation runs."""
-    workload = request.workload()
-    designs = tuple(enumerate(request.designs))
-    names = [design.label(index) for index, design in designs]
-    if len(set(names)) != len(names):
-        raise ApiError(
-            "invalid_request", f"design names must be unique, got {names}"
-        )
-    try:
-        specs = [_bind_design(d, i, request.model) for i, d in designs]
-        reports = [fleet_report(spec, workload) for spec in specs]
-    except ReproError as exc:
-        raise ApiError.from_exception(exc) from exc
-    return names, specs, reports
+def _fleet_response(request: FleetRequest, kind: str) -> FleetResponse:
+    """Bind every design, then evaluate each (a bad name or design
+    fails before any simulation runs); ``cheapest`` names the winner."""
+    from repro.core.planner import _cheapest_report
 
-
-def evaluate_fleets(request: FleetRequest) -> FleetResponse:
-    """Evaluate every design in ``request`` under its workload."""
-    with get_tracer().span(
-        "api.fleet.evaluate", designs=len(request.designs)
-    ):
-        names, specs, reports = _evaluate_request(request)
-    return FleetResponse(
-        kind="evaluate",
-        views=tuple(
-            FleetView.from_report(name, spec, report)
-            for name, spec, report in zip(names, specs, reports)
-        ),
-        reports=tuple(reports),
-    )
-
-
-def cheapest_fleets(request: FleetRequest) -> FleetResponse:
-    """Pick the cheapest design meeting the request's availability and
-    (optional) p99 constraints; every design's view is still returned
-    so callers can see why the winner won."""
-    import numpy as np
-
-    with get_tracer().span(
-        "api.fleet.cheapest", designs=len(request.designs)
-    ):
-        names, specs, reports = _evaluate_request(request)
+    with get_tracer().span(f"api.fleet.{kind}", designs=len(request.designs)):
+        workload = request.workload()
+        designs = tuple(enumerate(request.designs))
+        names = [design.label(index) for index, design in designs]
+        if len(set(names)) != len(names):
+            raise ApiError(
+                "invalid_request",
+                f"design names must be unique, got {names}",
+            )
+        try:
+            specs = [_bind_design(d, i, request.model) for i, d in designs]
+            reports = [fleet_report(spec, workload) for spec in specs]
+        except ReproError as exc:
+            raise ApiError.from_exception(exc) from exc
     chosen = None
-    best_cost = None
-    for name, report in zip(names, reports):
-        if report.availability < request.availability:
-            continue
-        if request.p99_s is not None:
-            p99 = report.p99
-            if not np.isfinite(p99) or p99 > request.p99_s:
-                continue
-        if best_cost is None or report.cost < best_cost:
-            chosen, best_cost = name, report.cost
-    if chosen is None:
-        constraint = f"availability >= {request.availability:.3f}"
-        if request.p99_s is not None:
-            constraint += f" and p99 <= {request.p99_s:.3f}s"
-        raise ApiError(
-            "infeasible",
-            f"none of the {len(names)} candidate fleets meets {constraint}",
-        )
+    if kind == "cheapest":
+        try:
+            best = _cheapest_report(
+                reports, request.availability, request.p99_s
+            )
+        except ReproError as exc:
+            raise ApiError.from_exception(exc) from exc
+        chosen = names[best]
     return FleetResponse(
-        kind="cheapest",
+        kind=kind,
         views=tuple(
             FleetView.from_report(name, spec, report)
             for name, spec, report in zip(names, specs, reports)
@@ -330,17 +268,28 @@ def cheapest_fleets(request: FleetRequest) -> FleetResponse:
     )
 
 
+def evaluate_fleets(request: FleetRequest) -> FleetResponse:
+    """Evaluate every design in ``request`` under its workload."""
+    return _fleet_response(request, "evaluate")
+
+
+def cheapest_fleets(request: FleetRequest) -> FleetResponse:
+    """Pick the cheapest design meeting the request's availability and
+    (optional) p99 constraints; every design's view is still returned
+    so callers can see why the winner won."""
+    return _fleet_response(request, "cheapest")
+
+
 # ----------------------------------------------------------------------
 # spec-level entry points (callers holding FleetSpec objects)
 # ----------------------------------------------------------------------
 def fleet_report(spec, workload):
     """Evaluate one :class:`~repro.serving.fleet.FleetSpec` under a
     :class:`~repro.serving.fleet.FleetWorkload` through the
-    content-keyed fleet cache (single-flight)."""
+    content-keyed fleet cache (single-flight per key)."""
     from repro.serving.fleet import evaluate_fleet
 
-    with _EVAL_LOCK:
-        return evaluate_fleet(spec, workload)
+    return evaluate_fleet(spec, workload)
 
 
 def goodput_accuracy_frontier(
@@ -408,17 +357,21 @@ def select_cheapest_fleet(
     """Cheapest candidate :class:`~repro.serving.fleet.FleetSpec`
     meeting availability A and p99 L; returns ``(spec, report)``.
 
-    Raises :class:`ApiError` (``infeasible``) when no candidate
-    qualifies.
+    Candidates are evaluated through the fleet cache; declaration order
+    breaks cost ties.  Raises :class:`ApiError` (``infeasible``) when
+    no candidate qualifies.
     """
-    from repro.core.planner import _cheapest_fleet
+    from repro.core.planner import _cheapest_report
 
+    candidates = tuple(candidates)
     try:
-        return _cheapest_fleet(
-            candidates, workload, availability=availability, p99_s=p99_s
-        )
+        if not candidates:
+            raise InfeasibleError("no candidate fleets to choose from")
+        reports = [fleet_report(spec, workload) for spec in candidates]
+        best = _cheapest_report(reports, availability, p99_s)
     except ReproError as exc:
         raise ApiError.from_exception(exc) from exc
+    return candidates[best], reports[best]
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +389,6 @@ def clear_api_caches() -> None:
     from repro.serving.fleet import clear_fleet_cache
 
     _model_pair.cache_clear()
-    _plan_degrees.cache_clear()
     _plan_space_spec.cache_clear()
     clear_space_cache()
     clear_fleet_cache()

@@ -59,6 +59,7 @@ __all__ = [
     "API_SCHEMA",
     "ERROR_STATUS",
     "MAX_FLEET_INSTANCES",
+    "MAX_FLEET_ROUTING_WORK",
     "MAX_FLEET_REQUESTS",
     "MAX_PLAN_GRID_POINTS",
     "ApiError",
@@ -104,6 +105,12 @@ MAX_FLEET_REQUESTS = 1_000_000
 #: fleet takes time linear in its instances.  It admits seven designs
 #: of the paper's largest configuration (3 of each of the 6 types).
 MAX_FLEET_INSTANCES = 128
+#: work budget of one fleet request, in routed replica-requests
+#: (replicas x rate x duration over every design): backlog-aware routing
+#: weighs every replica per decision.  At the bound ``adaptive``, the
+#: slowest policy, took 2.2 s for 128 replicas x 78,125 requests and
+#: 3.3 s for 10 replicas x 10^6 requests on a 2-core x86_64 host.
+MAX_FLEET_ROUTING_WORK = 10_000_000
 
 
 class ApiError(ReproError):
@@ -511,14 +518,13 @@ def _plan_grid_points(
 ) -> int:
     """Evaluation-grid points of a plan over ``n_types`` catalog types
     (``None``: the full catalog), as the handlers enumerate them."""
-    from repro.api.handlers import _plan_degrees
     from repro.cloud.catalog import EC2_CATALOG
     from repro.core.config_space import configuration_space_size
 
     if n_types is None:
         n_types = len(EC2_CATALOG)
     return configuration_space_size(n_types, instances_per_type) * len(
-        _plan_degrees(model)
+        MODELS[model].plan_degrees()
     )
 
 
@@ -791,24 +797,25 @@ class FleetRequest:
             raise ApiError(
                 "invalid_request", "fleet request needs >= 1 design"
             )
-        simulated = self.rate_per_s * self.duration_s * len(self.designs)
-        if simulated > MAX_FLEET_REQUESTS:
-            raise ApiError(
-                "invalid_request",
-                f"{simulated:,.0f} simulated requests (rate x duration x "
-                f"designs) is over the {MAX_FLEET_REQUESTS:,}-request "
-                f"budget of one request",
-                http_status=413,
-            )
-        instances = sum(r.count for d in self.designs for r in d.replicas)
-        if instances > MAX_FLEET_INSTANCES:
-            raise ApiError(
-                "invalid_request",
-                f"{instances:,} instances (replica counts over every "
-                f"design) is over the {MAX_FLEET_INSTANCES:,}-instance "
-                f"budget of one request",
-                http_status=413,
-            )
+        requests = self.rate_per_s * self.duration_s
+        for work, bound, unit, what in (
+            (requests * len(self.designs), MAX_FLEET_REQUESTS, "request",
+             "simulated requests (rate x duration x designs)"),
+            (sum(r.count for d in self.designs for r in d.replicas),
+             MAX_FLEET_INSTANCES, "instance",
+             "instances (replica counts over every design)"),
+            (requests * sum(len(d.replicas) for d in self.designs),
+             MAX_FLEET_ROUTING_WORK, "replica-request",
+             "routed replica-requests (replicas x rate x duration over "
+             "every design)"),
+        ):
+            if work > bound:
+                raise ApiError(
+                    "invalid_request",
+                    f"{work:,.0f} {what} is over the {bound:,}-{unit} "
+                    f"budget of one request",
+                    http_status=413,
+                )
 
     def workload(self) -> "FleetWorkload":
         """The reproducible offered load this request describes."""

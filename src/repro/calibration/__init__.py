@@ -13,6 +13,8 @@ number was measured on a K80 or read off the published figure — which is
 precisely the substitution contract of this reproduction.
 """
 
+from typing import Callable, NamedTuple
+
 from repro.calibration.accuracy_model import AccuracyModel, AccuracyPair
 from repro.calibration.caffenet import (
     caffenet_accuracy_model,
@@ -23,18 +25,44 @@ from repro.calibration.googlenet import (
     googlenet_accuracy_model,
     googlenet_time_model,
 )
+from repro.pruning.schedule import (
+    algorithm1_variant_set,
+    caffenet_variant_set,
+    googlenet_variant_set,
+)
 
-#: model name -> (time-model factory, accuracy-model factory): the one
-#: list of calibrated models that every ``--model`` flag and the API's
-#: ``model`` field read
+
+class ModelRow(NamedTuple):
+    """A model's factories: time and accuracy models, the degrees of
+    pruning ``repro plan`` sweeps and those ``repro allocate`` searches."""
+
+    time_model: Callable
+    accuracy_model: Callable
+    plan_degrees: Callable
+    allocate_degrees: Callable
+
+
+#: model name -> :class:`ModelRow`: the one list of calibrated models
+#: that every ``--model`` flag and the API's ``model`` field read
 MODELS = {
-    "caffenet": (caffenet_time_model, caffenet_accuracy_model),
-    "googlenet": (googlenet_time_model, googlenet_accuracy_model),
+    "caffenet": ModelRow(
+        caffenet_time_model,
+        caffenet_accuracy_model,
+        caffenet_variant_set,
+        algorithm1_variant_set,
+    ),
+    "googlenet": ModelRow(
+        googlenet_time_model,
+        googlenet_accuracy_model,
+        googlenet_variant_set,
+        googlenet_variant_set,
+    ),
 }
 
 __all__ = [
     "MODELS",
     "AccuracyModel",
+    "ModelRow",
     "AccuracyPair",
     "PiecewiseCurve",
     "caffenet_accuracy_model",

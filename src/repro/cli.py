@@ -117,8 +117,8 @@ def _parse_spec(text: str):
 
 def _models(name: str):
     """Fresh calibrated (time, accuracy) models for ``--model``."""
-    time_model, accuracy_model = MODELS[name]
-    return time_model(), accuracy_model()
+    row = MODELS[name]
+    return row.time_model(), row.accuracy_model()
 
 
 #: ``--inject`` presets: the :class:`~repro.service.SoakInjection`
@@ -827,7 +827,6 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     from repro.cloud.simulator import CloudSimulator
     from repro.core.allocation import greedy_allocate
     from repro.errors import InfeasibleError
-    from repro.experiments.algorithm1 import _default_degrees
 
     time_model, accuracy_model = _models(args.model)
     simulator = CloudSimulator(time_model, accuracy_model)
@@ -836,16 +835,9 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         for itype in EC2_CATALOG
         for _ in range(args.instances_per_type)
     ]
-    degrees = _default_degrees() if args.model == "caffenet" else None
-    if degrees is None:
-        from repro.experiments.ext_googlenet_pareto import (
-            googlenet_variant_set,
-        )
-
-        degrees = googlenet_variant_set()
     try:
         allocation = greedy_allocate(
-            degrees,
+            MODELS[args.model].allocate_degrees(),
             pool,
             simulator,
             images=args.images,

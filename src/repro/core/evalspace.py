@@ -16,7 +16,8 @@ Two layers of reuse make grid evaluation cheap:
   :class:`EvaluatedSpace` objects by the *content* of their spec (model
   fingerprints, exact prune ratios, configurations, workload, split
   policy), so two experiments asking for the same grid share one
-  evaluation even when they built the models independently.
+  evaluation even when they built the models independently (one
+  :class:`~repro.core.cache.SingleFlightCache`, single-flight per key).
 
 Queries (:meth:`EvaluatedSpace.feasible_mask`,
 :meth:`~EvaluatedSpace.pareto`, :meth:`~EvaluatedSpace.tar`/
@@ -34,10 +35,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.cache import SingleFlightCache
 from repro.core.metrics import car_array, tar_array
 from repro.core.pareto import pareto_indices
 from repro.errors import ConfigurationError
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.pruning.base import PruneSpec
 
 if TYPE_CHECKING:  # import cycle: the cloud simulator imports core.metrics
@@ -53,12 +55,6 @@ __all__ = [
     "clear_space_cache",
     "space_cache_info",
 ]
-
-#: Bound on retained evaluated spaces; oldest entries evicted first.
-_CACHE_MAX_ENTRIES = 32
-
-_CACHE: dict["_HashedKey", "EvaluatedSpace"] = {}
-
 
 class _HashedKey:
     """A cache key with its hash computed once.
@@ -400,29 +396,15 @@ def _evaluate_uncached(spec: SpaceSpec) -> EvaluatedSpace:
     )
 
 
+_SPACES = SingleFlightCache("evalspace", ("points", lambda s: len(s.results)))
+
+
 def evaluate(spec: SpaceSpec) -> EvaluatedSpace:
     """Evaluate ``spec`` once; content-equal grids hit the shared cache."""
-    key = spec._hashed_key()
-    cached = _CACHE.get(key)
-    if cached is not None:
-        get_metrics().counter("evalspace.cache_hits").inc()
-        return cached
-    get_metrics().counter("evalspace.cache_misses").inc()
-    evaluated = _evaluate_uncached(spec)
-    while len(_CACHE) >= _CACHE_MAX_ENTRIES:
-        _CACHE.pop(next(iter(_CACHE)))  # dicts iterate oldest-first
-    _CACHE[key] = evaluated
-    return evaluated
+    return _SPACES.get(spec._hashed_key(), lambda: _evaluate_uncached(spec))
 
 
-def clear_space_cache() -> None:
-    """Drop every cached :class:`EvaluatedSpace` (tests, benchmarks)."""
-    _CACHE.clear()
-
-
-def space_cache_info() -> dict[str, int]:
-    """Current cache occupancy (entries and total cached grid points)."""
-    return {
-        "entries": len(_CACHE),
-        "points": sum(len(s.results) for s in _CACHE.values()),
-    }
+#: drop every cached :class:`EvaluatedSpace` (tests, benchmarks)
+clear_space_cache = _SPACES.clear
+#: current cache occupancy (entries and total cached grid points)
+space_cache_info = _SPACES.info

@@ -16,14 +16,13 @@ All three are vectorised selections over one
 :class:`PlanningSpace` is a thin (space, metric) view whose queries run
 on the space's numpy columns.
 
-``_cheapest_fleet`` extends the same inverse-query discipline to the
-*serving* axis: candidate routed fleets
-(:class:`~repro.serving.fleet.FleetSpec`) are evaluated through the
-content-keyed fleet cache and filtered by availability and tail
-latency, exactly the way the batch queries filter the evaluation
-space.
+``_cheapest_report`` extends the same inverse-query discipline to the
+*serving* axis: evaluated routed fleets are filtered by availability
+and tail latency, exactly the way the batch queries filter the
+evaluation space.
 
-These are the kernels behind :func:`repro.api.plan` and
+These are the kernels behind :func:`repro.api.plan`,
+:func:`repro.api.cheapest_fleets` and
 :func:`repro.api.select_cheapest_fleet`, the public entry points.
 """
 
@@ -139,48 +138,29 @@ def _iso_accuracy_frontier(
     return [space.results[i] for i in idx[local]]
 
 
-def _cheapest_fleet(
-    candidates: Sequence,
-    workload,
-    *,
-    availability: float = 0.999,
-    p99_s: float | None = None,
-):
-    """Cheapest candidate fleet meeting availability A and p99 L.
-
-    Each candidate (a :class:`~repro.serving.fleet.FleetSpec`) is
-    evaluated under ``workload`` through the content-keyed fleet cache
-    — repeated planner queries over overlapping candidate sets pay for
-    each simulation once per process.  Feasible fleets serve at least
-    ``availability`` of the offered stream and (when ``p99_s`` is set)
-    keep fleet-wide p99 latency at or below it; the cheapest by run
-    cost wins, declaration order breaking ties.  Returns
-    ``(spec, report)``; raises
-    :class:`~repro.errors.InfeasibleError` when no candidate
-    qualifies.
-    """
-    from repro.serving.fleet import evaluate_fleet
-
-    candidates = tuple(candidates)
-    if not candidates:
-        raise InfeasibleError("no candidate fleets to choose from")
-    best: tuple | None = None
-    for spec in candidates:
-        report = evaluate_fleet(spec, workload)
+def _cheapest_report(
+    reports: Sequence, availability: float, p99_s: float | None
+) -> int:
+    """Index of the cheapest already-evaluated fleet report serving at
+    least ``availability`` of its stream with a finite p99 at or below
+    ``p99_s`` (when set); the first report wins ties.  Raises
+    :class:`~repro.errors.InfeasibleError` when none qualifies."""
+    best: int | None = None
+    for i, report in enumerate(reports):
         if report.availability < availability:
             continue
         if p99_s is not None:
             p99 = report.p99
             if not np.isfinite(p99) or p99 > p99_s:
                 continue
-        if best is None or report.cost < best[1].cost:
-            best = (spec, report)
+        if best is None or report.cost < reports[best].cost:
+            best = i
     if best is None:
         constraint = f"availability >= {availability:.3f}"
         if p99_s is not None:
             constraint += f" and p99 <= {p99_s:.3f}s"
         raise InfeasibleError(
-            f"none of the {len(candidates)} candidate fleets meets "
+            f"none of the {len(reports)} candidate fleets meets "
             f"{constraint}"
         )
     return best

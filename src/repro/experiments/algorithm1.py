@@ -24,29 +24,9 @@ from repro.cloud.instance import CloudInstance
 from repro.cloud.simulator import CloudSimulator
 from repro.core.allocation import brute_force_allocate, greedy_allocate
 from repro.experiments.report import format_table
-from repro.pruning.base import PruneSpec
-from repro.pruning.schedule import DegreeOfPruning
+from repro.pruning.schedule import algorithm1_variant_set
 
 __all__ = ["Algorithm1Row", "Algorithm1Result", "run", "compute", "render"]
-
-
-def _default_degrees() -> list[DegreeOfPruning]:
-    return [
-        DegreeOfPruning.of(PruneSpec.unpruned()),
-        DegreeOfPruning.of(PruneSpec({"conv1": 0.2, "conv2": 0.3})),
-        DegreeOfPruning.of(PruneSpec({"conv1": 0.3, "conv2": 0.5})),
-        DegreeOfPruning.of(
-            PruneSpec(
-                {
-                    "conv1": 0.3,
-                    "conv2": 0.5,
-                    "conv3": 0.5,
-                    "conv4": 0.5,
-                    "conv5": 0.5,
-                }
-            )
-        ),
-    ]
 
 
 def _resource_pool(size: int) -> list[CloudInstance]:
@@ -103,7 +83,7 @@ def run(
     simulator = CloudSimulator(
         caffenet_time_model(), caffenet_accuracy_model()
     )
-    degrees = _default_degrees()
+    degrees = algorithm1_variant_set()
     rows = []
     for size in pool_sizes:
         pool = _resource_pool(size)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.calibration.googlenet import (
-    GOOGLENET_SWEET_SPOTS,
     googlenet_accuracy_model,
     googlenet_time_model,
 )
@@ -23,36 +22,13 @@ from repro.cloud.simulator import SimulationResult
 from repro.core.config_space import enumerate_configurations
 from repro.core.evalspace import SpaceSpec, evaluate
 from repro.experiments.report import format_kv, format_table
-from repro.pruning.base import PruneSpec
-from repro.pruning.schedule import DegreeOfPruning
+from repro.pruning.schedule import googlenet_variant_set
 
-__all__ = ["GooglenetPareto", "run", "render", "googlenet_variant_set"]
+__all__ = ["GooglenetPareto", "run", "render"]
 
 IMAGES = 20_000_000
 DEADLINE_S = 10 * 3600.0
 BUDGET = 300.0
-
-
-def googlenet_variant_set() -> list[DegreeOfPruning]:
-    """Degrees of pruning over the six selected Googlenet layers."""
-    layers = tuple(GOOGLENET_SWEET_SPOTS)
-    variants = [DegreeOfPruning.of(PruneSpec.unpruned())]
-    for r in (0.2, 0.4, 0.6, 0.7, 0.8):
-        variants.append(DegreeOfPruning.of(PruneSpec.uniform(layers, r)))
-    for layer in layers:
-        for r in (0.3, 0.6, 0.8):
-            variants.append(DegreeOfPruning.of(PruneSpec({layer: r})))
-    # stem + strongest inner layer combos (the Googlenet conv1-2 analog)
-    for r1 in (0.3, 0.6):
-        for r2 in (0.3, 0.6, 0.8):
-            variants.append(
-                DegreeOfPruning.of(
-                    PruneSpec(
-                        {"conv1-7x7-s2": r1, "conv2-3x3": r2}
-                    )
-                )
-            )
-    return variants
 
 
 @dataclass(frozen=True)

@@ -70,27 +70,20 @@ def _scenario_evalspace_grid() -> None:
     )
     from repro.pruning.schedule import caffenet_variant_set
 
-    clear_space_cache()
-    space = evaluate(
-        SpaceSpec.build(
+    def grid():  # fresh model instances on every call
+        return SpaceSpec.build(
             caffenet_time_model(),
             caffenet_accuracy_model(),
             caffenet_variant_set(),
             enumerate_configurations(P2_TYPES, max_per_type=3),
             20_000_000,
         )
-    )
+
+    clear_space_cache()
+    space = evaluate(grid())
     assert len(space) == 3780
     # a content-equal re-request must be a pure cache hit
-    evaluate(
-        SpaceSpec.build(
-            caffenet_time_model(),
-            caffenet_accuracy_model(),
-            caffenet_variant_set(),
-            enumerate_configurations(P2_TYPES, max_per_type=3),
-            20_000_000,
-        )
-    )
+    evaluate(grid())
 
 
 def _scenario_serving_faulty() -> None:
@@ -143,7 +136,7 @@ def _scenario_allocation_greedy() -> None:
     from repro.cloud.instance import CloudInstance
     from repro.cloud.simulator import CloudSimulator
     from repro.core.allocation import greedy_allocate
-    from repro.experiments.algorithm1 import _default_degrees
+    from repro.pruning.schedule import algorithm1_variant_set
 
     simulator = CloudSimulator(
         caffenet_time_model(), caffenet_accuracy_model()
@@ -154,7 +147,7 @@ def _scenario_allocation_greedy() -> None:
         for _ in range(2)
     ]
     greedy_allocate(
-        _default_degrees(),
+        algorithm1_variant_set(),
         pool,
         simulator,
         images=20_000_000,

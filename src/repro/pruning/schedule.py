@@ -9,7 +9,11 @@ These build the sets *P* the paper sweeps:
 * :func:`sweet_spot_combo` — each layer at its last sweet spot
   (Figure 8's ``conv1-2`` and ``all-conv`` configurations);
 * :func:`caffenet_variant_set` — the 60-variant Caffenet set behind the
-  Pareto studies (Figures 9, 10).
+  Pareto studies (Figures 9, 10);
+* :func:`googlenet_variant_set` — its Googlenet counterpart over the
+  six selected layers;
+* :func:`algorithm1_variant_set` — the four Caffenet degrees the
+  Algorithm 1 study searches.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ __all__ = [
     "multi_layer_grid",
     "sweet_spot_combo",
     "caffenet_variant_set",
+    "googlenet_variant_set",
+    "algorithm1_variant_set",
     "DEFAULT_RATIOS",
 ]
 
@@ -136,3 +142,35 @@ def caffenet_variant_set(
             f"variant generator produced {len(unique)} < {count} degrees"
         )
     return unique[:count]
+
+
+def googlenet_variant_set() -> list[DegreeOfPruning]:
+    """Degrees of pruning over the six selected Googlenet layers."""
+    # lazy: repro.calibration imports this module for its MODELS table
+    from repro.calibration.googlenet import GOOGLENET_SWEET_SPOTS
+
+    layers = tuple(GOOGLENET_SWEET_SPOTS)
+    variants = [DegreeOfPruning.of(PruneSpec.unpruned())]
+    for r in (0.2, 0.4, 0.6, 0.7, 0.8):
+        variants.append(DegreeOfPruning.of(PruneSpec.uniform(layers, r)))
+    for layer in layers:
+        for r in (0.3, 0.6, 0.8):
+            variants.append(DegreeOfPruning.of(PruneSpec({layer: r})))
+    # stem + strongest inner layer combos (the Googlenet conv1-2 analog)
+    for r1 in (0.3, 0.6):
+        for r2 in (0.3, 0.6, 0.8):
+            spec = PruneSpec({"conv1-7x7-s2": r1, "conv2-3x3": r2})
+            variants.append(DegreeOfPruning.of(spec))
+    return variants
+
+
+def algorithm1_variant_set() -> list[DegreeOfPruning]:
+    """The four Caffenet degrees Algorithm 1 searches: unpruned,
+    ``conv1-2`` at two depths and all five convolutions."""
+    conv2_5 = dict.fromkeys(("conv2", "conv3", "conv4", "conv5"), 0.5)
+    return [
+        DegreeOfPruning.of(PruneSpec.unpruned()),
+        DegreeOfPruning.of(PruneSpec({"conv1": 0.2, "conv2": 0.3})),
+        DegreeOfPruning.of(PruneSpec({"conv1": 0.3, "conv2": 0.5})),
+        DegreeOfPruning.of(PruneSpec({"conv1": 0.3, **conv2_5})),
+    ]

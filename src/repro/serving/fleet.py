@@ -14,9 +14,9 @@ a fleet it has already measured:
   object identity), mirroring
   :meth:`repro.core.evalspace.SpaceSpec.cache_key`;
 * :func:`evaluate_fleet` — run the spec's router over the workload,
-  memoised in a process-wide cache (``fleet.cache_hits`` /
-  ``fleet.cache_misses`` counters, 32-entry LRU-by-insertion like the
-  evaluation-space cache).
+  memoised in a process-wide :class:`~repro.core.cache.SingleFlightCache`
+  like the evaluation-space cache (``fleet.cache_hits`` /
+  ``fleet.cache_misses`` counters, 32 entries, oldest evicted first).
 
 The planner query itself is
 :func:`repro.api.select_cheapest_fleet`.
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.calibration.accuracy_model import AccuracyModel
+from repro.core.cache import SingleFlightCache
 from repro.errors import ConfigurationError
-from repro.obs import get_metrics
 from repro.perf.latency import CalibratedTimeModel
 from repro.serving.arrivals import ARRIVALS
 from repro.serving.router import (
@@ -48,10 +48,14 @@ __all__ = [
     "fleet_cache_info",
 ]
 
-_CACHE_MAX_ENTRIES = 32
 
-#: (FleetSpec key, FleetWorkload key) -> FleetReport, process-wide.
-_CACHE: dict[tuple, FleetReport] = {}
+def _draw(mixture, n: int, seed: int) -> np.ndarray | None:
+    """``n`` seeded draws from ``(value, fraction)`` pairs, if any."""
+    if not mixture:
+        return None
+    values, weights = (np.array(column) for column in zip(*mixture))
+    rng = np.random.default_rng(seed)
+    return rng.choice(values, size=n, p=weights / weights.sum())
 
 
 @dataclass(frozen=True)
@@ -120,24 +124,14 @@ class FleetWorkload:
         """Per-request floors for ``n`` arrivals (``None`` if no
         mixture is configured).  Drawn from a seed derived from the
         workload's own, so arrivals and floors stay independent."""
-        if not self.floors:
-            return None
-        rng = np.random.default_rng(self.seed + 0x0F100)
-        values = np.array([f for f, _ in self.floors])
-        weights = np.array([w for _, w in self.floors])
-        return rng.choice(values, size=n, p=weights / weights.sum())
+        return _draw(self.floors, n, self.seed + 0x0F100)
 
     def deadlines_s(self, n: int) -> np.ndarray | None:
         """Per-request deadlines for ``n`` arrivals (``None`` if no
         mixture is configured).  Drawn from a seed derived from the
         workload's own — distinct from the floors' derivation — so
         arrivals, floors, and deadlines are mutually independent."""
-        if not self.deadlines:
-            return None
-        rng = np.random.default_rng(self.seed + 0x0D1E5)
-        values = np.array([d for d, _ in self.deadlines])
-        weights = np.array([w for _, w in self.deadlines])
-        return rng.choice(values, size=n, p=weights / weights.sum())
+        return _draw(self.deadlines, n, self.seed + 0x0D1E5)
 
     def cache_key(self) -> tuple:
         """Content key for the fleet evaluation cache."""
@@ -203,38 +197,29 @@ class FleetSpec:
 # ----------------------------------------------------------------------
 # the cache
 # ----------------------------------------------------------------------
+#: (FleetSpec key, FleetWorkload key) -> FleetReport, process-wide.
+_FLEETS = SingleFlightCache("fleet", ("served", lambda r: r.served))
+
+
 def evaluate_fleet(
     spec: FleetSpec, workload: FleetWorkload
 ) -> FleetReport:
     """Evaluate ``spec`` under ``workload`` once; content-equal pairs
     hit the shared cache (``fleet.cache_hits``/``fleet.cache_misses``
     counters record the traffic)."""
-    key = (spec.cache_key(), workload.cache_key())
-    cached = _CACHE.get(key)
-    if cached is not None:
-        get_metrics().counter("fleet.cache_hits").inc()
-        return cached
-    get_metrics().counter("fleet.cache_misses").inc()
-    arrivals = workload.arrivals()
-    floors = workload.accuracy_floors(arrivals.size)
-    deadlines = workload.deadlines_s(arrivals.size)
-    report = spec.router().run(
-        arrivals, floors=floors, deadlines=deadlines
-    )
-    while len(_CACHE) >= _CACHE_MAX_ENTRIES:
-        _CACHE.pop(next(iter(_CACHE)))  # dicts iterate oldest-first
-    _CACHE[key] = report
-    return report
+
+    def run() -> FleetReport:
+        arrivals = workload.arrivals()
+        return spec.router().run(
+            arrivals,
+            floors=workload.accuracy_floors(arrivals.size),
+            deadlines=workload.deadlines_s(arrivals.size),
+        )
+
+    return _FLEETS.get((spec.cache_key(), workload.cache_key()), run)
 
 
-def clear_fleet_cache() -> None:
-    """Drop every cached :class:`FleetReport` (tests, benchmarks)."""
-    _CACHE.clear()
-
-
-def fleet_cache_info() -> dict[str, int]:
-    """Current cache occupancy (entries and total served requests)."""
-    return {
-        "entries": len(_CACHE),
-        "served": sum(r.served for r in _CACHE.values()),
-    }
+#: drop every cached :class:`FleetReport` (tests, benchmarks)
+clear_fleet_cache = _FLEETS.clear
+#: current cache occupancy (entries and total served requests)
+fleet_cache_info = _FLEETS.info

@@ -24,7 +24,7 @@ from repro.api import (
     PlanRequest,
     PlanResponse,
 )
-from repro.api.types import MAX_FLEET_INSTANCES
+from repro.api.types import MAX_FLEET_INSTANCES, MAX_FLEET_ROUTING_WORK
 from repro.cli import main
 from repro.obs import MetricsRegistry, scoped_observability
 from repro.errors import (
@@ -336,7 +336,11 @@ class TestWorkBudget:
                 api.evaluate_fleets(
                     FleetRequest.from_dict(self._fleet_body(1e4, 1e3, 1))
                 )
-        for exc in (plan_exc, fleet_exc):
+            with pytest.raises(ApiError) as routing_exc:
+                api.cheapest_fleets(
+                    FleetRequest.from_dict(self._wide_body(100, 1e3, 500.0))
+                )
+        for exc in (plan_exc, fleet_exc, routing_exc):
             assert exc.value.code == "invalid_request"
             assert exc.value.http_status == 413
         assert "106,293,600 points" in str(plan_exc.value)
@@ -346,6 +350,86 @@ class TestWorkBudget:
             for name in counters
             if name.startswith(("evalspace.", "fleet."))
         ]
+
+    @staticmethod
+    def _wide_body(replicas: int, rate_per_s: float, duration_s: float):
+        """One design of ``replicas`` single-instance replicas."""
+        return {
+            "designs": [
+                {"replicas": [{"instance_type": "p2.xlarge"}] * replicas}
+            ],
+            "rate_per_s": rate_per_s,
+            "duration_s": duration_s,
+        }
+
+    def test_routing_budget_counts_replicas_times_requests(self):
+        # 128 replicas: the instance budget's widest fleet
+        wide = MAX_FLEET_ROUTING_WORK / MAX_FLEET_INSTANCES
+        FleetRequest.from_dict(self._wide_body(MAX_FLEET_INSTANCES, wide, 1.0))
+        with pytest.raises(ApiError) as exc:
+            FleetRequest.from_dict(
+                self._wide_body(MAX_FLEET_INSTANCES, wide * 1.01, 1.0)
+            )
+        assert exc.value.http_status == 413
+        assert "replica-requests" in str(exc.value)
+        # the request budget alone admitted 128 replicas x 10^6 requests
+        with pytest.raises(ApiError):
+            FleetRequest.from_dict(
+                self._wide_body(MAX_FLEET_INSTANCES, 1e4, 100.0)
+            )
+        # every design's replicas count: each of these two designs of 11
+        # replicas x 5 x 10^5 requests fits alone, not both together
+        design = {"replicas": [{"instance_type": "p2.xlarge"}] * 11}
+        with pytest.raises(ApiError):
+            FleetRequest.from_dict(
+                {
+                    "designs": [
+                        {**design, "name": "a"},
+                        {**design, "name": "b"},
+                    ],
+                    "rate_per_s": 5e3,
+                    "duration_s": 100.0,
+                }
+            )
+
+    def test_routing_budget_clears_the_in_repo_bodies(self):
+        sweet = {"conv1": 0.3, "conv2": 0.5}
+        # the benchmark's cold fleet: 4 replicas x up to 12,000 requests
+        FleetRequest(
+            designs=(
+                FleetDesign(
+                    replicas=(
+                        FleetReplica("p2.8xlarge"),
+                        FleetReplica("p2.xlarge", spec=sweet, name="a"),
+                        FleetReplica("p2.xlarge", spec=sweet, name="b"),
+                    ),
+                    name="tiered",
+                    routing="tiered",
+                ),
+                FleetDesign(
+                    replicas=(FleetReplica("p2.8xlarge", count=2),),
+                    name="pair",
+                ),
+            ),
+            rate_per_s=200.0,
+            duration_s=60.0,
+        )
+        # docs/service.md's example: 2 replicas x 500 requests
+        FleetRequest(
+            designs=(
+                FleetDesign(
+                    replicas=(
+                        FleetReplica("p2.8xlarge"),
+                        FleetReplica("p2.xlarge", count=2, spec=sweet),
+                    ),
+                    routing="tiered",
+                ),
+            ),
+            rate_per_s=50.0,
+            duration_s=10.0,
+        )
+        # the CI smoke body (rejected later, for its NaN max-wait)
+        FleetRequest.from_dict(self._fleet_body(10.0, 5.0, 1))
 
     def test_budget_counts_the_catalog_and_the_designs(self):
         # two types allow a far deeper grid than the full catalog

@@ -24,6 +24,7 @@ from repro.api.types import (
     LIST,
     MAX_FLEET_INSTANCES,
     MAX_FLEET_REQUESTS,
+    MAX_FLEET_ROUTING_WORK,
     MAX_PLAN_GRID_POINTS,
     NUMBER,
     PAIRS,
@@ -314,12 +315,12 @@ ROUTES = {
 
 @contextmanager
 def _work_meter():
-    """Count the grid points and simulated requests/instances the
-    evaluation caches are asked for."""
+    """Count the grid points, simulated requests/instances and routed
+    replica-requests the evaluation caches are asked for."""
     from repro.core import evalspace
     from repro.serving import fleet
 
-    work = {"points": 0, "requests": 0.0, "instances": 0}
+    work = {"points": 0, "requests": 0.0, "instances": 0, "routed": 0.0}
     evaluate, evaluate_fleet = evalspace.evaluate, fleet.evaluate_fleet
 
     def grid(spec):
@@ -328,6 +329,9 @@ def _work_meter():
 
     def simulate(spec, workload):
         work["requests"] += workload.rate_per_s * workload.duration_s
+        work["routed"] += (
+            len(spec.replicas) * workload.rate_per_s * workload.duration_s
+        )
         work["instances"] += sum(
             len(r.configuration) for r in spec.replicas
         )
@@ -359,6 +363,7 @@ def test_any_body_gets_200_or_a_typed_4xx(route, data):
     assert work["points"] <= MAX_PLAN_GRID_POINTS
     assert work["requests"] <= MAX_FLEET_REQUESTS
     assert work["instances"] <= MAX_FLEET_INSTANCES
+    assert work["routed"] <= MAX_FLEET_ROUTING_WORK
     if status != 200:
         code = json.loads(payload)["error"]["code"]
         assert code != "internal", payload

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import (
+    MODELS,
     AccuracyPair,
     PiecewiseCurve,
     caffenet_accuracy_model,
@@ -18,6 +19,7 @@ from repro.calibration import (
 from repro.errors import CalibrationError
 from repro.perf.device import K80
 from repro.pruning import PruneSpec
+from repro.pruning.schedule import DegreeOfPruning
 
 MIN = 60.0
 
@@ -266,3 +268,17 @@ class TestGooglenetAnchors:
         assert gtm.single_inference(
             PruneSpec.unpruned(), K80
         ) > ctm.single_inference(PruneSpec.unpruned(), K80)
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_row_names_both_ladders(self, name):
+        row = MODELS[name]
+        assert row.time_model().name == row.accuracy_model().name == name
+        plan, allocate = row.plan_degrees(), row.allocate_degrees()
+        assert plan and allocate
+        for degrees in (plan, allocate):
+            assert all(isinstance(d, DegreeOfPruning) for d in degrees)
+            # each ladder prunes layers of its own model
+            layers = {layer for d in degrees for layer, _ in d.spec.ratios}
+            assert layers <= set(row.accuracy_model().drop_curves_top5)

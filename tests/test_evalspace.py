@@ -54,13 +54,13 @@ def _configs():
     ]
 
 
-def _space_spec(**kwargs):
+def _space_spec(images=IMAGES, **kwargs):
     return SpaceSpec.build(
         caffenet_time_model(),
         caffenet_accuracy_model(),
         SPECS,
         _configs(),
-        IMAGES,
+        images,
         **kwargs,
     )
 
@@ -134,6 +134,13 @@ class TestCache:
         proportional = evaluate(_space_spec(proportional_split=True))
         assert even is not proportional
         assert space_cache_info()["entries"] == 2
+
+    def test_oldest_space_is_evicted_at_32(self):
+        spaces = [evaluate(_space_spec(images=i)) for i in range(1, 34)]
+        assert space_cache_info()["entries"] == 32
+        # images=2 is still held; images=1, the oldest, was evicted
+        assert evaluate(_space_spec(images=2)) is spaces[1]
+        assert evaluate(_space_spec(images=1)) is not spaces[0]
 
     def test_clear_and_info(self):
         evaluate(_space_spec())

@@ -732,6 +732,26 @@ class TestFleetSpecCache:
         assert counters["fleet.cache_hits"] == 1
         assert fleet_cache_info()["entries"] == 1
 
+    def test_oldest_entry_is_evicted_at_32(self):
+        spec = FleetSpec(TM, AM, (_replica("a"),))
+        registry = MetricsRegistry()
+        with scoped_observability(Tracer(enabled=False), registry):
+            reports = [
+                evaluate_fleet(spec, FleetWorkload(5.0, 1.0, seed=seed))
+                for seed in range(33)
+            ]
+            assert fleet_cache_info()["entries"] == 32
+            # seed 1 is still held; seed 0, the oldest, was evicted
+            assert evaluate_fleet(
+                spec, FleetWorkload(5.0, 1.0, seed=1)
+            ) is reports[1]
+            assert evaluate_fleet(
+                spec, FleetWorkload(5.0, 1.0, seed=0)
+            ) is not reports[0]
+        counters = registry.snapshot()["counters"]
+        assert counters["fleet.cache_misses"] == 34
+        assert counters["fleet.cache_hits"] == 1
+
     def test_different_routing_is_a_different_key(self):
         workload = FleetWorkload(50.0, 10.0, seed=1)
         spec = FleetSpec(TM, AM, tuple(_heterogeneous()))

@@ -2,9 +2,10 @@
 
 ``PlanningService.dispatch`` is exercised without sockets for the
 route/error matrix; a real ``PlanningServer`` + ``PlanningClient``
-pair covers the HTTP path end to end.  The concurrency test pins the
-single-flight contract: N parallel identical ``/v1/plan`` requests
-cost exactly one evaluation (1 miss, N-1 hits).
+pair covers the HTTP path end to end.  The concurrency tests pin the
+single-flight contract: N parallel identical ``/v1/plan`` or
+``/v1/fleet/evaluate`` requests cost exactly one evaluation (1 miss,
+N-1 hits), while a warm hit or another key never waits on that build.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -163,6 +165,111 @@ class TestSingleFlight:
         counters = registry.snapshot()["counters"]
         assert counters["evalspace.cache_misses"] == 1
         assert counters["evalspace.cache_hits"] == n - 1
+        clear_api_caches()
+
+
+#: seconds any join may take; a caller stuck behind another key's build
+#: fails the test instead of hanging it
+JOIN_S = 10.0
+#: seconds a gated build waits for its release, longer than every join
+GATE_S = 60.0
+
+
+def _in_thread(fn) -> tuple[threading.Thread, dict]:
+    out: dict = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed to the asserting thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, out
+
+
+class TestPerKeySingleFlight:
+    """A cold build holds up only callers of its own key."""
+
+    def test_warm_hit_and_distinct_cold_key_pass_a_blocked_build(
+        self, monkeypatch
+    ):
+        from repro import api
+        from repro.core import evalspace
+
+        blocked_images = 19_000_003
+        entered, release = threading.Event(), threading.Event()
+        build = evalspace._evaluate_uncached
+
+        def gated(spec):
+            if spec.images == blocked_images:
+                entered.set()
+                release.wait(GATE_S)
+            return build(spec)
+
+        clear_api_caches()
+        warm = PlanRequest(target=78.0, deadline_h=6.0, **SMALL)
+        api.plan(warm)
+        monkeypatch.setattr(evalspace, "_evaluate_uncached", gated)
+        blocked, _ = _in_thread(
+            lambda: api.plan(
+                PlanRequest(
+                    target=78.0, images=blocked_images, **SMALL
+                )
+            )
+        )
+        try:
+            assert entered.wait(JOIN_S)
+            hit, hit_out = _in_thread(lambda: api.plan(warm))
+            cold, cold_out = _in_thread(
+                lambda: api.plan(
+                    PlanRequest(target=78.0, images=19_000_005, **SMALL)
+                )
+            )
+            hit.join(JOIN_S)
+            cold.join(JOIN_S)
+            assert not hit.is_alive(), "warm hit waited on another key"
+            assert not cold.is_alive(), "cold key waited on another key"
+            assert blocked.is_alive()
+        finally:
+            release.set()
+            blocked.join(JOIN_S)
+        assert hit_out["value"].kind == "min_budget"
+        assert cold_out["value"].kind == "frontier"
+        clear_api_caches()
+
+    def test_parallel_identical_fleet_evaluations_simulate_once(self):
+        n = 8
+        service = PlanningService()
+        body = json.dumps(
+            {
+                "designs": [
+                    {"replicas": [{"instance_type": "p2.xlarge"}]}
+                ],
+                "rate_per_s": 20.0,
+                "duration_s": 5.0,
+                # a content key no other test uses: the probe starts cold
+                "seed": 19_000_007,
+            }
+        ).encode("utf-8")
+        registry = MetricsRegistry()
+        clear_api_caches()
+        with scoped_observability(Tracer(enabled=False), registry):
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                answers = list(
+                    pool.map(
+                        lambda _: service.dispatch(
+                            "POST", "/v1/fleet/evaluate", body
+                        ),
+                        range(n),
+                    )
+                )
+        assert [status for status, _, _ in answers] == [200] * n
+        assert len({payload for _, _, payload in answers}) == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["fleet.cache_misses"] == 1
+        assert counters["fleet.cache_hits"] == n - 1
         clear_api_caches()
 
 
