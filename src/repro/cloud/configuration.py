@@ -74,14 +74,14 @@ class ResourceConfiguration:
             for i in range(len(self.instances))
         ]
 
-    def split_workload_proportional(
-        self, images: int, time_model: CalibratedTimeModel, spec: PruneSpec
-    ) -> list[int]:
+    def split_workload_proportional(self, images: int) -> list[int]:
         """Capacity-proportional split (the Ablation C alternative).
 
-        Shares are proportional to each instance's saturated throughput
-        for the pruned model, so heterogeneous configurations finish
-        near-simultaneously instead of waiting for the slowest resource.
+        Shares are proportional to each instance's saturated throughput,
+        GPUs in use x device speedup (pruning scales every device alike,
+        so the split does not depend on the degree), and heterogeneous
+        configurations finish near-simultaneously instead of waiting
+        for the slowest resource.
         """
         rates = np.array(
             [
@@ -100,6 +100,15 @@ class ResourceConfiguration:
             alloc[order[i % len(alloc)]] += 1
         return alloc.tolist()
 
+    def allocation(
+        self, images: int, proportional_split: bool = False
+    ) -> list[int]:
+        """Images per instance: Eq. 4's even split, or the proportional
+        one.  Neither depends on the degree of pruning."""
+        if proportional_split:
+            return self.split_workload_proportional(images)
+        return self.split_workload(images)
+
     # ------------------------------------------------------------------
     def makespan(
         self,
@@ -109,15 +118,11 @@ class ResourceConfiguration:
         proportional_split: bool = False,
     ) -> float:
         """T of Equation 2, in seconds."""
-        if proportional_split:
-            allocation = self.split_workload_proportional(
-                images, time_model, spec
-            )
-        else:
-            allocation = self.split_workload(images)
         return max(
             inst.inference_time(time_model, spec, w)
-            for inst, w in zip(self.instances, allocation)
+            for inst, w in zip(
+                self.instances, self.allocation(images, proportional_split)
+            )
         )
 
     def cost(

@@ -70,12 +70,7 @@ def trace_job(
     """Expand one configuration evaluation into per-instance traces."""
     if images < 1:
         raise ConfigurationError("images must be >= 1")
-    if proportional_split:
-        allocation = configuration.split_workload_proportional(
-            images, time_model, spec
-        )
-    else:
-        allocation = configuration.split_workload(images)
+    allocation = configuration.allocation(images, proportional_split)
     traces = []
     finish_times = []
     for instance, share in zip(configuration.instances, allocation):

@@ -7,8 +7,19 @@ degrees of pruning crossed with resource configurations, scored by the
 calibrated time and accuracy models.  This module evaluates that grid
 *once* and answers every downstream question from columnar arrays.
 
-Two layers of reuse make grid evaluation cheap:
+Three layers of reuse make grid evaluation cheap:
 
+* **a distinct-pair kernel** — the grid is never simulated point by
+  point.  A configuration's per-instance allocation and hourly rate do
+  not depend on the degree, so each is computed once per configuration,
+  and the grid becomes an ``(n_configurations x max_instances)`` slot
+  matrix whose slots index a table of distinct ``(instance, images)``
+  pairs (padding slots are -1).  Each degree evaluates the scalar time
+  model once per distinct pair (86 pairs on the full catalog at two
+  instances per type, where the per-point loop made ~262,000 calls),
+  gathers, takes Eq. 2's T as the row max and Eq. 1's C with the IEEE
+  operations of :func:`~repro.cloud.pricing.hourly_rate_cost`, so every
+  column is bit-identical to :meth:`CloudSimulator.run` per point;
 * **model memoization** — :meth:`CalibratedTimeModel.time_fraction` and
   the simulator's accuracy lookup are memoized per degree, so a 60 x 63
   grid performs ~60 time-model evaluations instead of 3 780;
@@ -18,6 +29,9 @@ Two layers of reuse make grid evaluation cheap:
   policy), so two experiments asking for the same grid share one
   evaluation even when they built the models independently (one
   :class:`~repro.core.cache.SingleFlightCache`, single-flight per key).
+
+A finished space holds only columns: its :class:`SimulationResult`
+records are built on first access and memoized per index.
 
 Queries (:meth:`EvaluatedSpace.feasible_mask`,
 :meth:`~EvaluatedSpace.pareto`, :meth:`~EvaluatedSpace.tar`/
@@ -29,6 +43,7 @@ key, so refactored callers render byte-identical artefacts.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -39,11 +54,11 @@ from repro.core.cache import SingleFlightCache
 from repro.core.metrics import car_array, tar_array
 from repro.core.pareto import pareto_indices
 from repro.errors import ConfigurationError
-from repro.obs import get_tracer
+from repro.obs import get_metrics, get_tracer
 from repro.pruning.base import PruneSpec
 
 if TYPE_CHECKING:  # import cycle: the cloud simulator imports core.metrics
-    from repro.calibration.accuracy_model import AccuracyModel
+    from repro.calibration.accuracy_model import AccuracyModel, AccuracyPair
     from repro.cloud.configuration import ResourceConfiguration
     from repro.cloud.simulator import CloudSimulator, SimulationResult
     from repro.perf.latency import CalibratedTimeModel
@@ -201,21 +216,53 @@ class SpaceSpec:
         return cached
 
 
+class _Records(Sequence):
+    """A space's rows as :class:`SimulationResult` records, each built
+    on first access and memoized, so one index always yields one
+    object."""
+
+    def __init__(self, space: "EvaluatedSpace") -> None:
+        self._space = space
+        self._built: dict[int, "SimulationResult"] = {}
+
+    def __len__(self) -> int:
+        return self._space.space.n_points
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        flat = operator.index(index)
+        if flat < 0:
+            flat += len(self)
+        if not 0 <= flat < len(self):
+            raise IndexError(f"grid index {index} out of range")
+        row = self._built.get(flat)
+        if row is None:
+            # setdefault keeps the first record two racing readers built
+            row = self._built.setdefault(flat, self._space._record(flat))
+        return row
+
+
 @dataclass(frozen=True, eq=False)
 class EvaluatedSpace:
-    """A fully evaluated grid: row records plus columnar numpy views.
+    """A fully evaluated grid: columnar numpy views plus lazy records.
 
-    ``results`` holds one :class:`SimulationResult` per point in
-    degree-major order; ``time_s``/``cost``/``top1``/``top5`` are the
-    same points as flat float columns for vectorised queries.
+    ``time_s``/``cost``/``top1``/``top5`` hold every point as flat
+    float columns in degree-major order; ``accuracies`` holds one
+    :class:`AccuracyPair` per degree.  ``results`` is the same points
+    as :class:`SimulationResult` records, built on demand.
     """
 
     space: SpaceSpec
-    results: tuple["SimulationResult", ...]
     time_s: np.ndarray = field(repr=False)
     cost: np.ndarray = field(repr=False)
     top1: np.ndarray = field(repr=False)
     top5: np.ndarray = field(repr=False)
+    accuracies: tuple["AccuracyPair", ...] = field(repr=False)
+    results: _Records = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "results", _Records(self))
 
     # ------------------------------------------------------------------
     @property
@@ -229,7 +276,7 @@ class EvaluatedSpace:
         return self.space.n_configurations
 
     def __len__(self) -> int:
-        return len(self.results)
+        return self.space.n_points
 
     @property
     def time_hours(self) -> np.ndarray:
@@ -267,6 +314,19 @@ class EvaluatedSpace:
         """The row for degree ``i_spec`` on configuration ``i_config``."""
         return self.results[i_spec * self.n_configurations + i_config]
 
+    def _record(self, flat: int) -> "SimulationResult":
+        from repro.cloud.simulator import SimulationResult
+
+        i_spec, i_config = divmod(flat, self.n_configurations)
+        return SimulationResult(
+            spec=self.space.specs[i_spec],
+            configuration=self.space.configurations[i_config],
+            images=self.space.images,
+            time_s=float(self.time_s[flat]),
+            cost=float(self.cost[flat]),
+            accuracy=self.accuracies[i_spec],
+        )
+
     def grid(self, column: np.ndarray) -> np.ndarray:
         """Reshape a flat column to ``(n_specs, n_configurations)``."""
         return column.reshape(self.n_specs, self.n_configurations)
@@ -278,7 +338,7 @@ class EvaluatedSpace:
         budget: float | None = None,
     ) -> np.ndarray:
         """Boolean column: rows inside the (T', C') constraint box."""
-        mask = np.ones(len(self.results), dtype=bool)
+        mask = np.ones(len(self), dtype=bool)
         if deadline_s is not None:
             mask &= self.time_s <= deadline_s
         if budget is not None:
@@ -367,6 +427,35 @@ class EvaluatedSpace:
 # ----------------------------------------------------------------------
 
 
+def _slot_matrix(spec: SpaceSpec) -> tuple[np.ndarray, list, np.ndarray]:
+    """The degree-independent half of the grid.
+
+    Returns the ``(n_configurations x max_instances)`` slot matrix, the
+    table of distinct ``(instance, images)`` pairs its slots index
+    (padding slots are -1), and each configuration's hourly rate.
+    """
+    pairs: dict[tuple, int] = {}
+    rows = [
+        [
+            pairs.setdefault(pair, len(pairs))
+            for pair in zip(
+                config.instances,
+                config.allocation(spec.images, spec.proportional_split),
+            )
+        ]
+        for config in spec.configurations
+    ]
+    slots = np.full((len(rows), max(map(len, rows))), -1, dtype=np.intp)
+    for r, row in enumerate(rows):
+        slots[r, : len(row)] = row
+    # the property's builtin sum(), as the per-point path uses: np.sum
+    # groups differently, and sum() itself rounds differently from 3.12
+    rates = np.array(
+        [config.total_price_per_hour for config in spec.configurations]
+    )
+    return slots, list(pairs), rates
+
+
 def _evaluate_uncached(spec: SpaceSpec) -> EvaluatedSpace:
     from repro.cloud.simulator import CloudSimulator
 
@@ -381,22 +470,32 @@ def _evaluate_uncached(spec: SpaceSpec) -> EvaluatedSpace:
         configurations=spec.n_configurations,
         images=spec.images,
     ):
-        results = tuple(
-            simulator.run(degree, config, spec.images)
-            for degree in spec.specs
-            for config in spec.configurations
-        )
+        slots, pairs, rates = _slot_matrix(spec)
+        # one value per distinct pair, plus the -inf that padding reads
+        values = np.full(len(pairs) + 1, -np.inf)
+        time_s = np.empty((spec.n_specs, spec.n_configurations))
+        for i, degree in enumerate(spec.specs):
+            for k, (instance, images) in enumerate(pairs):
+                values[k] = instance.inference_time(
+                    spec.time_model, degree, images
+                )
+            time_s[i] = values[slots].max(axis=1)  # Eq. 2
+        # Eq. 1 as hourly_rate_cost computes it: ceil(T) * rate / 3600
+        cost = np.ceil(time_s) * rates / 3600.0
+        accuracies = tuple(simulator.accuracy(s) for s in spec.specs)
+        get_metrics().counter("cloud.simulations").inc(spec.n_points)
+    n = spec.n_configurations
     return EvaluatedSpace(
         space=spec,
-        results=results,
-        time_s=np.array([r.time_s for r in results], dtype=float),
-        cost=np.array([r.cost for r in results], dtype=float),
-        top1=np.array([r.accuracy.top1 for r in results], dtype=float),
-        top5=np.array([r.accuracy.top5 for r in results], dtype=float),
+        time_s=time_s.ravel(),
+        cost=cost.ravel(),
+        top1=np.array([a.top1 for a in accuracies], dtype=float).repeat(n),
+        top5=np.array([a.top5 for a in accuracies], dtype=float).repeat(n),
+        accuracies=accuracies,
     )
 
 
-_SPACES = SingleFlightCache("evalspace", ("points", lambda s: len(s.results)))
+_SPACES = SingleFlightCache("evalspace", ("points", len))
 
 
 def evaluate(spec: SpaceSpec) -> EvaluatedSpace:

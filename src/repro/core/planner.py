@@ -69,8 +69,8 @@ class PlanningSpace:
 
     # ------------------------------------------------------------------
     @property
-    def results(self) -> tuple[SimulationResult, ...]:
-        """The underlying per-point simulation records."""
+    def results(self) -> Sequence[SimulationResult]:
+        """The space's per-point records, each built on first read."""
         return self.space.results
 
     def _accurate_enough(self, target: float) -> np.ndarray:

@@ -23,6 +23,7 @@ EXPERIMENTS.md records this substitution.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,8 +84,9 @@ def study_space() -> EvaluatedSpace:
         )
 
 
-def evaluate_space() -> tuple[SimulationResult, ...]:
-    """All (60 x 63) rows in degree-major order (stable identity)."""
+def evaluate_space() -> Sequence[SimulationResult]:
+    """All (60 x 63) rows in degree-major order (stable identity; each
+    record is built on first read)."""
     return study_space().results
 
 

@@ -443,8 +443,14 @@ class _Handler(BaseHTTPRequestHandler):
         if close:
             # send_header also sets close_connection
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        # status line, headers and body leave in one write: a body sent
+        # as a second small segment waits for the client's delayed ACK
+        # under Nagle's algorithm (~40 ms per keep-alive response)
+        head = b""
+        if self.request_version != "HTTP/0.9":  # 0.9 answers are bare
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head + payload)
 
     do_GET = _handle
     do_POST = _handle

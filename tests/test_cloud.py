@@ -136,16 +136,13 @@ class TestResourceConfiguration:
         assert sum(cfg.split_workload(10)) == 10
 
     def test_proportional_split_favours_fast_devices(self):
-        tm = caffenet_time_model()
         cfg = ResourceConfiguration(
             [
                 CloudInstance(instance_type("p2.xlarge")),  # 1 K80
                 CloudInstance(instance_type("g3.4xlarge")),  # 1 M60 (2x)
             ]
         )
-        alloc = cfg.split_workload_proportional(
-            9000, tm, PruneSpec.unpruned()
-        )
+        alloc = cfg.split_workload_proportional(9000)
         assert sum(alloc) == 9000
         assert alloc[1] > alloc[0]  # M60 gets the bigger share
 

@@ -7,20 +7,31 @@ Covers the contracts every migrated consumer leans on:
   constructed model instances, metrics counters, eviction, clearing);
 * columnar results agree exactly with per-point ``CloudSimulator.run``,
   including the ``proportional_split=True`` path;
+* the distinct-pair kernel is bit-identical to the per-point loop (the
+  oracle below) on full-catalog grids, the proportional split and
+  workloads that leave instances idle;
 * vectorised feasible/Pareto/argmin queries match the historical
   per-row code (``pareto_front``) on the same rows.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.calibration import caffenet_accuracy_model, caffenet_time_model
-from repro.cloud.catalog import instance_type
+from repro.calibration import (
+    MODELS,
+    caffenet_accuracy_model,
+    caffenet_time_model,
+)
+from repro.cloud.catalog import EC2_CATALOG, instance_type
 from repro.cloud.configuration import ResourceConfiguration
 from repro.cloud.instance import CloudInstance
 from repro.cloud.simulator import CloudSimulator
+from repro.core.config_space import enumerate_configurations
 from repro.core.evalspace import (
     SpaceSpec,
     clear_space_cache,
@@ -253,3 +264,122 @@ class TestQueries:
         assert car[idx] == car[np.flatnonzero(mask)].min()
         with pytest.raises(ConfigurationError):
             space.argmin_tar(mask=np.zeros(len(space), dtype=bool))
+
+
+# ----------------------------------------------------------------------
+# the kernel against the per-point loop
+# ----------------------------------------------------------------------
+
+
+def _catalog_spec(model="caffenet", per_type=2, images=IMAGES, **kwargs):
+    row = MODELS[model]
+    return SpaceSpec.build(
+        row.time_model(),
+        row.accuracy_model(),
+        row.plan_degrees(),
+        enumerate_configurations(tuple(EC2_CATALOG), max_per_type=per_type),
+        images,
+        **kwargs,
+    )
+
+
+def _assert_matches_oracle(spec, degrees=None):
+    """Compare ``evaluate(spec)`` with one ``CloudSimulator.run`` per
+    point (the oracle) on ``degrees`` (default: all), bit for bit."""
+    space = evaluate(spec)
+    sim = CloudSimulator(
+        spec.time_model,
+        spec.accuracy_model,
+        proportional_split=spec.proportional_split,
+    )
+    n = spec.n_configurations
+    if degrees is None:
+        degrees = range(spec.n_specs)
+    for i in degrees:
+        rows = [
+            sim.run(spec.specs[i], config, spec.images)
+            for config in spec.configurations
+        ]
+        block = slice(i * n, (i + 1) * n)
+        for name, column in (
+            ("time_s", [r.time_s for r in rows]),
+            ("cost", [r.cost for r in rows]),
+            ("top1", [r.accuracy.top1 for r in rows]),
+            ("top5", [r.accuracy.top5 for r in rows]),
+        ):
+            got = getattr(space, name)[block]
+            want = np.array(column, dtype=float)
+            assert got.tobytes() == want.tobytes(), (name, i)
+        for j in sorted({0, 1, n // 2, n - 1}):
+            assert space.result_at(i, j) == rows[j]
+    return space
+
+
+class TestKernelMatchesPerPointLoop:
+    @pytest.mark.parametrize("model", ["caffenet", "googlenet"])
+    def test_full_catalog_two_per_type(self, model):
+        space = _assert_matches_oracle(_catalog_spec(model))
+        assert len(space) > 20_000
+
+    def test_proportional_split_on_a_heterogeneous_grid(self):
+        types = [
+            instance_type(n)
+            for n in ("p2.xlarge", "p2.8xlarge", "g3.4xlarge", "g3.8xlarge")
+        ]
+        spec = SpaceSpec.build(
+            caffenet_time_model(),
+            caffenet_accuracy_model(),
+            MODELS["caffenet"].plan_degrees(),
+            enumerate_configurations(types, max_per_type=2),
+            IMAGES + 7,
+            proportional_split=True,
+        )
+        _assert_matches_oracle(spec)
+
+    def test_full_catalog_three_per_type(self):
+        spec = _catalog_spec(per_type=3)
+        space = _assert_matches_oracle(
+            spec, degrees=(0, 1, spec.n_specs - 1)
+        )
+        assert len(space) == spec.n_points > 200_000
+
+    @pytest.mark.parametrize("images", [1, 5, 7])
+    @pytest.mark.parametrize("proportional", [False, True])
+    def test_idle_instances_and_remainders(self, images, proportional):
+        # fewer images than instances: some instances get none
+        spec = _catalog_spec(images=images, proportional_split=proportional)
+        _assert_matches_oracle(spec, degrees=(0, 1, spec.n_specs - 1))
+
+    def test_records_are_built_once_per_index(self):
+        space = evaluate(_space_spec())
+        n = len(space)
+        assert space.results[n - 1] is space.results[-1]
+        assert space.results[1:3] == (space.results[1], space.results[2])
+        assert list(space.results) == [space.results[i] for i in range(n)]
+        with pytest.raises(IndexError):
+            space.results[n]
+
+    def test_concurrent_readers_share_one_record_per_index(self):
+        # a lost memo update would hand two readers different objects
+        space = evaluate(_catalog_spec("googlenet"))
+        indices = np.random.default_rng(0).permutation(len(space))[:2000]
+        seen: list[dict] = []
+
+        def read():
+            # every reader walks the same order, so they race per index
+            seen.append({int(i): space.results[i] for i in indices})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8
+        for rows in seen[1:]:
+            assert all(rows[i] is seen[0][i] for i in rows)

@@ -305,6 +305,59 @@ class TestHttpServer:
         server.close()
         server.close()
 
+    def test_each_response_is_one_send(self, monkeypatch):
+        # headers and body in separate sends would stall a keep-alive
+        # client on its delayed ACK; count the server's socket writes
+        from repro.service import server as server_module
+
+        sends: list[bytes] = []
+        setup = server_module._Handler.setup
+
+        def counting_setup(handler):
+            handler.request = _CountingSocket(handler.request, sends)
+            setup(handler)
+
+        monkeypatch.setattr(server_module._Handler, "setup", counting_setup)
+        exchanges = [
+            ("GET", "/v1/healthz", None),
+            ("POST", "/v1/plan", _body(target=78.0, deadline_h=6.0)),
+            ("POST", "/v1/nope", b"{}"),
+            ("GET", "/v1/metrics", None),
+        ]
+        bodies = []
+        with PlanningServer(port=0) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10.0
+            )
+            for method, path, body in exchanges:
+                conn.request(method, path, body=body)
+                bodies.append(conn.getresponse().read())
+            conn.close()
+        assert len(sends) == len(exchanges)
+        for sent, body in zip(sends, bodies):
+            assert sent.startswith(b"HTTP/1.1 ")
+            assert sent.endswith(b"\r\n\r\n" + body)
+
+
+class _CountingSocket:
+    """A server-side connection that records every ``send``/``sendall``
+    and delegates everything else to the real socket."""
+
+    def __init__(self, sock: socket.socket, sends: list[bytes]) -> None:
+        self._sock = sock
+        self._sends = sends
+
+    def send(self, data, *flags):
+        self._sends.append(bytes(data))
+        return self._sock.send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
 
 def _raw_exchange(
     server, head: str, body: bytes = b""

@@ -10,6 +10,9 @@ real service pins the integration end of the pipe.
 from __future__ import annotations
 
 import json
+import sys
+import time
+import types
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.service import (
     run_load,
     run_soak,
 )
+from repro.service import loadgen
 from repro.service.loadgen import (
     DRIFT_TOLERANCE,
     SOAK_POLICIES,
@@ -41,6 +45,37 @@ MIXTURE = PlanMixture(seed=3, **SMALL)
 
 #: stub soak shape: 10 requests per 0.1s window, 3s total
 FAST = dict(rate_per_s=100.0, duration_s=3.0, window_s=0.1)
+
+
+#: the latency every stub request reports under ``stub_clock``
+STUB_LATENCY_S = 0.002
+
+
+@pytest.fixture()
+def stub_clock(monkeypatch):
+    """Every request the harness times takes exactly ``STUB_LATENCY_S``.
+
+    The stub answers instantly, so the latency the harness measures is
+    host scheduling jitter, and one stall on a busy host pages the
+    latency detector.  Tests that watch other series read this clock:
+    a request's completion read (taken in the replay coroutine once the
+    request's ``scheduled`` time is set) answers ``scheduled +
+    STUB_LATENCY_S``; the pacing and wall-time reads stay real.
+    """
+    completions = []
+
+    def perf_counter():
+        scheduled = sys._getframe(1).f_locals.get("scheduled")
+        if scheduled is None:
+            return time.perf_counter()
+        completions.append(scheduled)
+        return scheduled + STUB_LATENCY_S
+
+    monkeypatch.setattr(
+        loadgen, "time", types.SimpleNamespace(perf_counter=perf_counter)
+    )
+    yield
+    assert completions, "the replay loop no longer times via `scheduled`"
 
 
 class StubTarget:
@@ -81,7 +116,7 @@ class TestSoakInjection:
 
 
 class TestSoakHealthy:
-    def test_constant_target_is_quiet(self):
+    def test_constant_target_is_quiet(self, stub_clock):
         report = run_soak(StubTarget(), MIXTURE, seed=3, **FAST)
         assert report.ok
         assert report.anomaly_events == ()
@@ -93,7 +128,7 @@ class TestSoakHealthy:
         metrics = {v.metric for v in report.verdicts}
         assert {"cost", "error_rate", "shed_rate"} <= metrics
 
-    def test_summary_and_render_shapes(self):
+    def test_summary_and_render_shapes(self, stub_clock):
         report = run_soak(StubTarget(), MIXTURE, seed=3, **FAST)
         summary = report.summary()
         assert summary["ok"] is True
@@ -120,7 +155,7 @@ class TestSoakHealthy:
 
 
 class TestSoakInjected:
-    def test_price_step_pulse_is_one_pair_on_cost(self):
+    def test_price_step_pulse_is_one_pair_on_cost(self, stub_clock):
         report = run_soak(
             StubTarget(),
             MIXTURE,
@@ -174,7 +209,7 @@ class TestSoakInjected:
         assert "error_rate" in report.flagged
         assert report.raise_resolve_pairs["error_rate"] == (1, 1)
 
-    def test_persistent_step_drifts_without_resolving(self):
+    def test_persistent_step_drifts_without_resolving(self, stub_clock):
         # a step that never ends: raised at the edge, still active at
         # the end, and the first-vs-last verdict flags the drift too
         report = run_soak(
